@@ -146,17 +146,16 @@ let churn_load () =
   { timing; report }
 
 (* ------------------------------------------------------------------ *)
-(* Queue microbenchmark: steady-state pop-min / re-add against each
-   backend at three pending-set sizes. The re-add lands a small random
-   delta past the popped minimum, so the heap keeps sifting through
-   its full depth and the wheel keeps rotating through its window —
-   the sustained-load shape of each structure, not the cold fill. *)
+(* Queue microbenchmark: steady-state pop-min / re-add at three
+   pending-set sizes. The re-add lands a small random delta past the
+   popped minimum, so the heap keeps sifting through its full depth —
+   the sustained-load shape of the structure, not the cold fill. *)
 
 let qbench_ops = 200_000
 
-let queue_bench backend n =
-  let q = Rhodos_util.Prio_queue.create ~backend () in
+let queue_bench n =
   let module PQ = Rhodos_util.Prio_queue in
+  let q = PQ.create () in
   let st = Random.State.make [| 0x5eed; n |] in
   for _ = 1 to n do
     PQ.add q ~prio:(Random.State.float st 10.) 0
@@ -173,14 +172,10 @@ let queue_bench backend n =
 let qbench_sizes = [ ("1k", 1_000); ("100k", 100_000); ("1m", 1_000_000) ]
 
 let queue_bench_all () =
-  List.concat_map
-    (fun (bname, backend) ->
-      List.map
-        (fun (sname, n) ->
-          (Printf.sprintf "qbench_%s_%s_ops_per_sec" bname sname,
-           queue_bench backend n))
-        qbench_sizes)
-    [ ("heap", Rhodos_util.Prio_queue.Heap); ("wheel", Rhodos_util.Prio_queue.Wheel) ]
+  List.map
+    (fun (sname, n) ->
+      (Printf.sprintf "qbench_heap_%s_ops_per_sec" sname, queue_bench n))
+    qbench_sizes
 
 (* ------------------------------------------------------------------ *)
 

@@ -588,7 +588,8 @@ let pwrite_file_impl t file ~off ~data =
     let size = size_ref t file in
     if t.config.cache_blocks = 0 then begin
       Counter.incr t.counters "remote_writes";
-      t.conn.Service_conn.pwrite file ~off ~data
+      t.conn.Service_conn.pwrite file ~off ~data;
+      if off + len > !size then size := off + len
     end
     else begin
       let b0 = off / block_size and b1 = (off + len - 1) / block_size in
@@ -616,10 +617,16 @@ let pwrite_file_impl t file ~off ~data =
            losing this write on the next flush. Waiters on the old
            cell still get the bytes they asked for. *)
         drop_block_tracking t file bi;
+        (* Grow the size block by block, before the cache insert: an
+           insert that evicts an earlier block of this same write
+           flushes it trimmed to the size, so a size still short of it
+           would mark it clean with its bytes never sent. Growing it
+           per block, not up front, keeps the partial-block test above
+           from loading blocks past the old end of file. *)
+        if e > !size then size := e;
         Cache.write t.cache (file, bi) block
       done
-    end;
-    if off + len > !size then size := off + len
+    end
   end
 
 let pwrite_file t file ~off ~data =

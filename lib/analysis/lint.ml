@@ -727,8 +727,8 @@ let find_raw_shared_cell ~file stripped =
 (* The dispatch path earned its flat layout: [Sim.dispatch], [step]
    and [run] must stick to the allocation-free queue accessors
    ([unsafe_min_prio], [pop_into], [is_empty], [length]). The
-   option/list-returning API ([pop], [peek], [min_prio], [ready],
-   [pop_nth], [drain], [ready_count]) allocates or scans per call and
+   option/list-returning API ([pop], [ready], [pop_nth], [drain],
+   [ready_count]) allocates or scans per call and
    belongs to the analysis/explorer paths ([controlled_step]), not the
    per-event loop. The rule is a token scan over the top-level
    let-regions of those three functions in sim.ml; a raw source line
@@ -738,9 +738,8 @@ let hot_path_functions = [ "dispatch"; "step"; "run" ]
 
 let hot_path_forbidden =
   [
-    "Prio_queue.pop"; "Prio_queue.pop_nth"; "Prio_queue.peek";
-    "Prio_queue.min_prio"; "Prio_queue.ready"; "Prio_queue.ready_count";
-    "Prio_queue.drain";
+    "Prio_queue.pop"; "Prio_queue.pop_nth"; "Prio_queue.ready";
+    "Prio_queue.ready_count"; "Prio_queue.drain";
   ]
 
 let find_hot_path_alloc ~file ~raw stripped =

@@ -35,7 +35,7 @@ type result = {
    observability plane is digest-neutral by its own contract. *)
 let exempt_file path =
   let base = Filename.basename path in
-  List.mem base [ "sim.ml"; "prio_queue.ml"; "timing_wheel.ml" ]
+  List.mem base [ "sim.ml"; "prio_queue.ml" ]
   || List.exists (fun seg -> seg = "obs") (String.split_on_char '/' path)
 
 let line_of = Callgraph.line_of_loc

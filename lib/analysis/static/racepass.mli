@@ -66,8 +66,7 @@
     single-location (an invariant spanning two locations broken
     across a yield is not modelled) and uses scan order within an
     activation as program order; [Sim.Cell.peek] is exempt by
-    contract; and the
-    simulator core ([sim.ml], [prio_queue.ml], [timing_wheel.ml]) and
+    contract; and the simulator core ([sim.ml], [prio_queue.ml]) and
     the observability plane ([lib/obs]) are outside the model's
     jurisdiction. *)
 

@@ -152,13 +152,13 @@ type _ Effect.t +=
   | Block : (('a -> bool) -> (unit -> bool) -> unit) -> 'a Effect.t
   | Block_simple : (('a -> bool) -> unit) -> 'a Effect.t
 
-let create ?(tie_break = Prio_queue.Fifo) ?(queue = Prio_queue.Wheel)
-    ?(track = false) ?scheduler ?(record = false) () =
+let create ?(tie_break = Prio_queue.Fifo) ?(track = false) ?scheduler
+    ?(record = false) () =
   let top =
     { id = -1; name = "top"; state = Ready; kill_pending = false; locals = [] }
   in
   { clock = ref 0.;
-    events = Prio_queue.create ~tie:tie_break ~backend:queue (); top;
+    events = Prio_queue.create ~tie:tie_break (); top;
     failure = None; next_pid = 0; current = top; next_event_id = 0; digest = 0;
     dispatched = 0; track; procs = []; scheduler; record; n_choices = 0;
     choice_rev = []; dispatch_rev = []; monitor = None; probe = None;

@@ -1,35 +1,31 @@
-(** Mutable min-priority queue keyed by [float] priority.
+(** Mutable min-priority queue keyed by [float] priority: the
+    simulator's event queue.
 
     Ties are broken by insertion order (FIFO) by default, which makes
     event processing in the simulator deterministic; see {!tie} for
     the perturbed alternative.
 
-    Two backends share this interface (see {!backend}): a binary heap
-    over parallel unboxed arrays (the default), and a timing wheel
-    ({!Timing_wheel}) tuned for the simulator's near-horizon event
-    mass. Both pop in the identical (prio, then tie-policy) total
-    order — asserted by the qcheck differential suite — so code using
-    the queue cannot observe the choice except through speed. Steady
-    -state operations allocate nothing; only capacity growth does. *)
+    One structure serves every load: a binary heap over parallel
+    unboxed arrays, plus a FIFO ring for entries added at exactly the
+    last popped priority — in the simulator, the yields, wakeups and
+    mailbox handoffs at the current time. Ring adds and pops are O(1)
+    whatever the heap holds; everything else costs O(log n). The pop
+    order is the single total order (prio, then insertion under the
+    tie policy), asserted against a reference model by the qcheck
+    suite in [test_util]. Steady-state operations allocate nothing;
+    only capacity growth does, and popped values are not retained. *)
 
 type 'a t
 
-type tie = Timing_wheel.tie = Fifo | Lifo
+type tie = Fifo | Lifo
 (** Policy for elements with equal priority: [Fifo] (the default) pops
     them in insertion order; [Lifo] pops newest-first. [Lifo] exists
     for the determinism sanitizer, which re-runs a simulation with
-    perturbed tie-breaking to expose schedule-order dependence. *)
+    perturbed tie-breaking to expose schedule-order dependence; it
+    bypasses the ring. *)
 
-type backend = Heap | Wheel
-(** [Heap] is a binary min-heap: O(log n) add/pop, robust for any
-    priority distribution. [Wheel] is a timing wheel with heap
-    overflow: O(1) add/pop when events cluster near the minimum (the
-    simulator's workload), at the cost of a bucket-array footprint. *)
-
-val create : ?tie:tie -> ?backend:backend -> unit -> 'a t
-(** [create ()] is an empty queue ([Fifo], [Heap]). *)
-
-val backend : 'a t -> backend
+val create : ?tie:tie -> unit -> 'a t
+(** [create ()] is an empty [Fifo] queue. *)
 
 val length : 'a t -> int
 
@@ -39,11 +35,8 @@ val add : 'a t -> prio:float -> 'a -> unit
 (** [add q ~prio v] inserts [v] with priority [prio]. Allocation-free
     except when the backing store grows. *)
 
-val min_prio : 'a t -> float option
-(** Priority of the minimum element, if any. *)
-
 val unsafe_min_prio : 'a t -> float
-(** Allocation-free {!min_prio} for the hot loop: undefined on an
+(** Priority of the minimum element, for the hot loop: undefined on an
     empty queue (the caller must check {!is_empty} first). *)
 
 val pop : 'a t -> (float * 'a) option
@@ -55,10 +48,6 @@ val pop_into : 'a t -> 'a
     element and returns its value directly — read {!unsafe_min_prio}
     first if the priority is needed. Raises [Invalid_argument] on an
     empty queue. *)
-
-val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit
 
 (** {2 Ready-set access}
 

@@ -267,6 +267,30 @@ let test_fa_write_survives_inflight_prefetch () =
            (Fs.pread fs (Fs.id_of_int file) ~off:(4 * 8192) ~len:8192)
            fresh))
 
+let test_fa_large_write_not_lost () =
+  (* Regression: the file size grew only after the block loop, so a
+     block this same pwrite evicted was flushed trimmed to the old size
+     (0) and marked clean unsent: 192 of 256 blocks read back as zeros
+     from a second client. Through [Cluster], not the local connections
+     above: with no network delay the file service loses blocks of two
+     concurrent extending writes (a separate, open bug). *)
+  let module Cluster = Rhodos.Cluster in
+  Cluster.run (fun _ t ->
+      let blocks = 256 in
+      let data = Bytes.init (blocks * 8192) (fun i -> Char.chr (1 + (i / 8192 mod 250))) in
+      let writer = Cluster.add_client t ~name:"writer" in
+      let d = Cluster.create_file writer "/big" in
+      Cluster.pwrite writer d ~off:0 ~data;
+      Cluster.close writer d;
+      let reader = Cluster.add_client t ~name:"reader" in
+      let d = Cluster.open_file reader "/big" in
+      let differ = ref 0 in
+      for bi = 0 to blocks - 1 do
+        let got = Cluster.pread reader d ~off:(bi * 8192) ~len:8192 in
+        if not (Bytes.equal got (Bytes.sub data (bi * 8192) 8192)) then incr differ
+      done;
+      check int "blocks that differ" 0 !differ)
+
 let test_fa_failed_prefetch_no_phantom_hit () =
   (* Regression: a prefetch that failed used to leave its reservation
      in the read-ahead table, so the later demand read of the block
@@ -544,6 +568,8 @@ let () =
             test_fa_sequential_read_ahead;
           Alcotest.test_case "random reads no prefetch" `Quick
             test_fa_random_reads_no_prefetch;
+          Alcotest.test_case "large write not lost" `Quick
+            test_fa_large_write_not_lost;
           Alcotest.test_case "write survives in-flight prefetch" `Quick
             test_fa_write_survives_inflight_prefetch;
           Alcotest.test_case "failed prefetch is not a hit" `Quick

@@ -414,11 +414,11 @@ let test_probe_digest_parity () =
   check int "same event count" n_off n_on;
   check bool "same digest" true (d_off = d_on)
 
-(* --- event-queue backend neutrality -------------------------------- *)
+(* --- event-queue golden digests ------------------------------------ *)
 
 (* A churn-shaped workload: mailbox ping-pong with yields and timers,
-   producing large same-time ready bursts — the shape the timing-wheel
-   backend is optimised for. *)
+   producing large same-time ready bursts — the shape the event
+   queue's same-time ring serves. *)
 let churn_workload sim =
   for _ = 1 to 50 do
     let a = Sim.Mailbox.create sim and b = Sim.Mailbox.create sim in
@@ -437,22 +437,35 @@ let churn_workload sim =
   done;
   Sim.run sim
 
-(* The queue backend is a pure speed knob: heap and wheel runs of the
-   same program must dispatch the identical event sequence, hence
-   byte-identical digests. *)
-let test_backend_digest_parity () =
-  let digest_of workload queue =
-    let sim = Sim.create ~queue () in
+(* The event queue's internal layout must not change the dispatch
+   order: these (run digest, events dispatched) pairs were recorded
+   with the heap-only queue, whose order they pin, under each tie
+   policy and in controlled mode. A same-time ring that reordered a
+   single event would fork the digest. *)
+let test_golden_digests () =
+  let digest_of create workload =
+    let sim = create () in
     workload sim;
     (Sim.run_digest sim, Sim.events_dispatched sim)
   in
   List.iter
-    (fun (name, workload) ->
-      let d_heap, n_heap = digest_of workload Rhodos_util.Prio_queue.Heap in
-      let d_wheel, n_wheel = digest_of workload Rhodos_util.Prio_queue.Wheel in
-      check int (name ^ ": same event count") n_heap n_wheel;
-      check int (name ^ ": same digest") d_heap d_wheel)
-    [ ("probe workload", probe_workload); ("churn", churn_workload) ]
+    (fun (name, create, workload, golden) ->
+      check (Alcotest.pair int int) name golden (digest_of create workload))
+    [ ("probe workload", (fun () -> Sim.create ()), probe_workload,
+        (1060510104, 10));
+      ("churn", (fun () -> Sim.create ()), churn_workload, (575646155, 1250));
+      ( "churn, Lifo ties",
+        (fun () -> Sim.create ~tie_break:Rhodos_util.Prio_queue.Lifo ()),
+        churn_workload,
+        (53345891, 1300) );
+      ( "churn, controlled FIFO",
+        (fun () -> Sim.create ~scheduler:Rhodos_sim.Schedule.fifo ()),
+        churn_workload,
+        (575646155, 1250) );
+      ( "churn, controlled LIFO",
+        (fun () -> Sim.create ~scheduler:Rhodos_sim.Schedule.lifo ()),
+        churn_workload,
+        (53345891, 1300) ) ]
 
 (* The digest fold is a hand-unrolled [Hashtbl.hash] of the
    (digest, id, bits-of-time) triple (see Sim.digest_step) — pin the
@@ -523,8 +536,7 @@ let () =
         ] );
       ( "event queue",
         [
-          Alcotest.test_case "backend digest parity" `Quick
-            test_backend_digest_parity;
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
           QCheck_alcotest.to_alcotest digest_step_matches_hashtbl_hash;
         ] );
     ]

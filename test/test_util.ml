@@ -58,46 +58,141 @@ let pq_sorted_prop =
 
 (* [ready_count] is the event loop's allocation-free fast path (O(1)
    when the minimum is unique); it must always agree with the size of
-   the full ready set. *)
+   the full ready set, ring entries included. *)
 let test_pq_ready_count () =
-  List.iter
-    (fun backend ->
-      let q = Prio_queue.create ~backend () in
-      check int "empty" 0 (Prio_queue.ready_count q);
-      Prio_queue.add q ~prio:2. "b";
-      check int "singleton" 1 (Prio_queue.ready_count q);
-      Prio_queue.add q ~prio:1. "a1";
-      Prio_queue.add q ~prio:1. "a2";
-      Prio_queue.add q ~prio:1. "a3";
-      Prio_queue.add q ~prio:3. "c";
-      check int "tied min of three" 3 (Prio_queue.ready_count q);
-      check int "agrees with ready set" (List.length (Prio_queue.ready q))
-        (Prio_queue.ready_count q);
-      ignore (Prio_queue.pop q);
-      check int "after pop" (List.length (Prio_queue.ready q))
-        (Prio_queue.ready_count q))
-    [ Prio_queue.Heap; Prio_queue.Wheel ]
+  let q = Prio_queue.create () in
+  check int "empty" 0 (Prio_queue.ready_count q);
+  Prio_queue.add q ~prio:2. "b";
+  check int "singleton" 1 (Prio_queue.ready_count q);
+  Prio_queue.add q ~prio:1. "a1";
+  Prio_queue.add q ~prio:1. "a2";
+  Prio_queue.add q ~prio:1. "a3";
+  Prio_queue.add q ~prio:3. "c";
+  check int "tied min of three" 3 (Prio_queue.ready_count q);
+  check int "agrees with ready set" (List.length (Prio_queue.ready q))
+    (Prio_queue.ready_count q);
+  ignore (Prio_queue.pop q);
+  check int "after pop" (List.length (Prio_queue.ready q))
+    (Prio_queue.ready_count q);
+  (* adds at the popped priority join the ring, behind a2 and a3 *)
+  Prio_queue.add q ~prio:1. "a4";
+  Prio_queue.add q ~prio:1. "a5";
+  check int "heap and ring" 4 (Prio_queue.ready_count q);
+  check (Alcotest.list Alcotest.string) "ready in insertion order"
+    [ "a2"; "a3"; "a4"; "a5" ] (List.map snd (Prio_queue.ready q))
 
 let pq_ready_count_prop =
   QCheck.Test.make
-    ~name:"ready_count agrees with the ready set under both backends"
+    ~name:"ready_count agrees with the ready set, ring included"
     ~count:300
     QCheck.(list (pair (int_bound 5) bool))
     (fun ops ->
+      let q = Prio_queue.create () in
+      let n = ref 0 in
       List.for_all
-        (fun backend ->
-          let q = Prio_queue.create ~backend () in
-          let n = ref 0 in
-          List.for_all
-            (fun (k, pop) ->
-              if pop then ignore (Prio_queue.pop q)
-              else begin
-                incr n;
-                Prio_queue.add q ~prio:(float_of_int k) !n
-              end;
-              Prio_queue.ready_count q = List.length (Prio_queue.ready q))
-            ops)
-        [ Prio_queue.Heap; Prio_queue.Wheel ])
+        (fun (k, pop) ->
+          if pop then ignore (Prio_queue.pop q)
+          else begin
+            incr n;
+            Prio_queue.add q ~prio:(float_of_int k) !n
+          end;
+          Prio_queue.ready_count q = List.length (Prio_queue.ready q))
+        ops)
+
+(* A reference model of the queue: entries [(prio, seq)] in insertion
+   order (the value is the seq). The ready set is the entries at the
+   minimum priority, in insertion order; a pop takes its first entry
+   under [Fifo] and its last under [Lifo]. *)
+module Model = struct
+  type t = { mutable entries : (float * int) list; mutable next : int }
+
+  let create () = { entries = []; next = 0 }
+  let length m = List.length m.entries
+
+  let add m prio =
+    let seq = m.next in
+    m.next <- seq + 1;
+    m.entries <- m.entries @ [ (prio, seq) ];
+    seq
+
+  let ready m =
+    let p = List.fold_left (fun acc (p, _) -> min acc p) infinity m.entries in
+    List.filter (fun (p', _) -> p' = p) m.entries
+
+  let remove m ((_, seq) as e) =
+    m.entries <- List.filter (fun (_, s) -> s <> seq) m.entries;
+    Some e
+
+  let pop_nth m n =
+    match List.nth_opt (ready m) n with Some e -> remove m e | None -> None
+
+  let pop m tie =
+    match (ready m, tie) with
+    | [], _ -> None
+    | e :: _, Prio_queue.Fifo -> remove m e
+    | r, Prio_queue.Lifo -> remove m (List.nth r (List.length r - 1))
+end
+
+(* The queue against the model: every result and the length after
+   every op, then a full drain. An op is [(kind, arg)]; kinds 0-7 add
+   at the last popped priority (the ring path), so runs spend most of
+   their time with a non-empty ring beside heap entries at, below and
+   above its priority. The rest: 8 adds below it, 9-10 a few ticks
+   past it, 11 far in the future; 12-14 pop, 15-16 pop_into; 17 ready,
+   18 ready_count, 19 pop_nth [arg]. *)
+let pq_model_prop tie name =
+  QCheck.Test.make ~name ~count:500
+    QCheck.(list_of_size Gen.(int_bound 200) (pair (int_bound 19) (int_bound 4)))
+    (fun ops ->
+      let q = Prio_queue.create ~tie () and m = Model.create () in
+      let last = ref 0. and far = ref 1e6 in
+      (* the model's pops drive [last], so a wrong queue pop cannot
+         steer the op mix *)
+      let popped = function
+        | Some (p, _) as r ->
+          last := p;
+          r
+        | None -> None
+      in
+      let add prio =
+        Prio_queue.add q ~prio (Model.add m prio);
+        true
+      in
+      let step (kind, arg) =
+        let ok =
+          if kind <= 7 then add !last
+          else if kind = 8 then add (!last -. 0.5)
+          else if kind <= 10 then add (!last +. (0.01 *. float_of_int (1 + (arg mod 3))))
+          else if kind = 11 then begin
+            far := !far +. 1.;
+            add !far
+          end
+          else if kind <= 14 then Prio_queue.pop q = popped (Model.pop m tie)
+          else if kind <= 16 then
+            match popped (Model.pop m tie) with
+            | None -> Prio_queue.is_empty q
+            | Some (p, v) ->
+              let p' = Prio_queue.unsafe_min_prio q in
+              p' = p && Prio_queue.pop_into q = v
+          else if kind = 17 then Prio_queue.ready q = Model.ready m
+          else if kind = 18 then Prio_queue.ready_count q = List.length (Model.ready m)
+          else Prio_queue.pop_nth q arg = popped (Model.pop_nth m arg)
+        in
+        ok && Prio_queue.length q = Model.length m
+      in
+      let rec drain_ok () =
+        match (Prio_queue.pop q, Model.pop m tie) with
+        | None, None -> true
+        | Some a, Some b -> a = b && drain_ok ()
+        | _ -> false
+      in
+      List.for_all step ops && drain_ok ())
+
+let pq_model_fifo =
+  pq_model_prop Prio_queue.Fifo "queue matches the reference model (Fifo)"
+
+let pq_model_lifo =
+  pq_model_prop Prio_queue.Lifo "queue matches the reference model (Lifo)"
 
 (* Removing the n-th ready entry replaces it with the last heap slot,
    which may belong *above* the removal point — the sift must go both
@@ -110,59 +205,25 @@ let pq_pop_nth_model_prop =
     QCheck.(pair bool (list (pair (int_bound 3) (int_bound 4))))
     (fun (lifo, ops) ->
       let tie = if lifo then Prio_queue.Lifo else Prio_queue.Fifo in
-      List.for_all
-        (fun backend ->
-          let q = Prio_queue.create ~tie ~backend () in
-          (* model: (prio, seq, v) list, insertion order *)
-          let model = ref [] in
-          let seq = ref 0 in
-          let ok = ref true in
-          List.iter
-            (fun (k, nth) ->
-              if k = 3 && !model <> [] then begin
-                (* remove the nth ready entry from both *)
-                let min_p =
-                  List.fold_left (fun m (p, _, _) -> min m p) infinity !model
-                in
-                let ready =
-                  List.filter (fun (p, _, _) -> p = min_p) !model
-                in
-                let n = nth mod max 1 (List.length ready) in
-                let (_, rs, rv) = List.nth ready n in
-                model := List.filter (fun (_, s, _) -> s <> rs) !model;
-                match Prio_queue.pop_nth q n with
-                | Some (p, v) ->
-                  if p <> min_p || v <> rv then ok := false
-                | None -> ok := false
-              end
-              else begin
-                let p = float_of_int (k mod 3) in
-                Prio_queue.add q ~prio:p !seq;
-                model := !model @ [ (p, !seq, !seq) ];
-                incr seq
-              end)
-            ops;
-          (* drain both and compare the full (prio, value) sequence *)
-          let rec drain_model m acc =
-            match m with
-            | [] -> List.rev acc
-            | _ ->
-              let min_p =
-                List.fold_left (fun mn (p, _, _) -> min mn p) infinity m
-              in
-              let ready = List.filter (fun (p, _, _) -> p = min_p) m in
-              let (_, s, v) =
-                match tie with
-                | Prio_queue.Fifo -> List.hd ready
-                | Prio_queue.Lifo -> List.nth ready (List.length ready - 1)
-              in
-              drain_model
-                (List.filter (fun (_, s', _) -> s' <> s) m)
-                ((min_p, v) :: acc)
-          in
-          let expect = drain_model !model [] in
-          !ok && Prio_queue.drain q = expect)
-        [ Prio_queue.Heap; Prio_queue.Wheel ])
+      let q = Prio_queue.create ~tie () and m = Model.create () in
+      let ok = ref true in
+      List.iter
+        (fun (k, nth) ->
+          if k = 3 && Model.length m > 0 then begin
+            let n = nth mod List.length (Model.ready m) in
+            if Prio_queue.pop_nth q n <> Model.pop_nth m n then ok := false
+          end
+          else begin
+            let p = float_of_int (k mod 3) in
+            Prio_queue.add q ~prio:p (Model.add m p)
+          end)
+        ops;
+      let rec drain_model acc =
+        match Model.pop m tie with
+        | None -> List.rev acc
+        | Some e -> drain_model (e :: acc)
+      in
+      !ok && Prio_queue.drain q = drain_model [])
 
 (* Crafted regression: the replacement slot for a removed tied-minimum
    entry must sift *up* past its parent when the tie policy orders it
@@ -171,7 +232,7 @@ let pq_pop_nth_model_prop =
 let test_pq_pop_nth_sift_up () =
   List.iter
     (fun tie ->
-      let q = Prio_queue.create ~tie ~backend:Prio_queue.Heap () in
+      let q = Prio_queue.create ~tie () in
       (* seven tied entries building a 3-level heap, then remove deep
          indices so the last slot replaces an interior one *)
       for v = 0 to 6 do
@@ -190,50 +251,72 @@ let test_pq_pop_nth_sift_up () =
       check (Alcotest.list int) "drain after pop_nth" expect got)
     [ Prio_queue.Fifo; Prio_queue.Lifo ]
 
-(* The two backends must pop the identical (prio, value) sequence for
-   any interleaving of adds and pops — including same-time bursts
-   (many adds at one priority), far-future outliers (beyond the wheel
-   window, forced into its overflow heap), and re-adds below an
-   already-rotated window (forcing a wheel rebuild). *)
-let pq_backend_differential_prop tie name =
-  QCheck.Test.make ~name ~count:400
-    QCheck.(list (pair (int_bound 9) bool))
-    (fun ops ->
-      let h = Prio_queue.create ~tie ~backend:Prio_queue.Heap () in
-      let w = Prio_queue.create ~tie ~backend:Prio_queue.Wheel () in
-      let n = ref 0 in
-      let step_ok (k, pop) =
-        if pop then
-          match (Prio_queue.pop h, Prio_queue.pop w) with
-          | None, None -> true
-          | Some (ph, vh), Some (pw, vw) -> ph = pw && vh = vw
-          | _ -> false
-        else begin
-          let prio =
-            if k = 9 then 1000. +. float_of_int !n (* overflow territory *)
-            else float_of_int (k mod 4) *. 0.01 (* same-time bursts *)
-          in
-          incr n;
-          Prio_queue.add h ~prio !n;
-          Prio_queue.add w ~prio !n;
-          Prio_queue.length h = Prio_queue.length w
-        end
-      in
-      let rec drain_ok () =
-        match (Prio_queue.pop h, Prio_queue.pop w) with
-        | None, None -> true
-        | Some (ph, vh), Some (pw, vw) -> ph = pw && vh = vw && drain_ok ()
-        | _ -> false
-      in
-      List.for_all step_ok ops && drain_ok ())
+(* Steady-state [add]/[pop_into] allocate nothing, on the ring path
+   (adds at the last popped priority) and on the heap path (adds past
+   it, each at a new priority so none joins the ring). The priorities
+   are already boxed, so the loops box nothing themselves;
+   [unsafe_min_prio] stays out, because a float returned across a
+   module boundary is boxed. *)
+let minor_words_of f =
+  let m0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. m0
 
-let pq_differential_fifo =
-  pq_backend_differential_prop Prio_queue.Fifo
-    "wheel and heap pop identically (Fifo ties)"
+let test_pq_no_alloc () =
+  let v = ref 0 in
+  let ring = Prio_queue.create () in
+  Prio_queue.add ring ~prio:1. v;
+  ignore (Prio_queue.pop_into ring);
+  let same_time () =
+    for _ = 1 to 10_000 do
+      Prio_queue.add ring ~prio:1. v;
+      Prio_queue.add ring ~prio:1. v;
+      ignore (Prio_queue.pop_into ring);
+      ignore (Prio_queue.pop_into ring)
+    done
+  in
+  let heap = Prio_queue.create () in
+  for _ = 1 to 1_000 do
+    Prio_queue.add heap ~prio:5. v
+  done;
+  let far = Array.init 10_000 (fun i -> ref (1e9 +. float_of_int i)) in
+  let far_future () =
+    for i = 0 to Array.length far - 1 do
+      Prio_queue.add heap ~prio:!(far.(i)) (Prio_queue.pop_into heap)
+    done
+  in
+  let baseline = minor_words_of (fun () -> ()) in
+  (* warm-up: grow the ring and the heap to their steady capacity *)
+  same_time ();
+  far_future ();
+  check (Alcotest.float 0.) "same-time add/pop_into" baseline
+    (minor_words_of same_time);
+  check (Alcotest.float 0.) "far-future add/pop_into" baseline
+    (minor_words_of far_future)
 
-let pq_differential_lifo =
-  pq_backend_differential_prop Prio_queue.Lifo
-    "wheel and heap pop identically (Lifo ties)"
+(* A popped value is not kept alive by its old ring or heap slot. *)
+let[@inline never] add_tracked q ~prio weak =
+  let v = ref 42 in
+  Weak.set weak 0 (Some v);
+  Prio_queue.add q ~prio v
+
+let test_pq_popped_collectable () =
+  List.iter
+    (fun (name, prime) ->
+      let q = Prio_queue.create () in
+      prime q;
+      let weak = Weak.create 1 in
+      add_tracked q ~prio:1. weak;
+      ignore (Sys.opaque_identity (Prio_queue.pop_into q));
+      Gc.full_major ();
+      check bool (name ^ ": collected") false (Weak.check weak 0);
+      check int (name ^ ": queue still live") 0 (Prio_queue.length q))
+    [ ("ring",
+       fun q ->
+         (* a pop at 1. makes the next add at 1. a ring add *)
+         Prio_queue.add q ~prio:1. (ref 0);
+         ignore (Prio_queue.pop_into q));
+      ("heap", fun _ -> ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
@@ -499,8 +582,12 @@ let () =
           QCheck_alcotest.to_alcotest pq_sorted_prop;
           QCheck_alcotest.to_alcotest pq_ready_count_prop;
           QCheck_alcotest.to_alcotest pq_pop_nth_model_prop;
-          QCheck_alcotest.to_alcotest pq_differential_fifo;
-          QCheck_alcotest.to_alcotest pq_differential_lifo;
+          QCheck_alcotest.to_alcotest pq_model_fifo;
+          QCheck_alcotest.to_alcotest pq_model_lifo;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_pq_no_alloc;
+          Alcotest.test_case "popped values are collectable" `Quick
+            test_pq_popped_collectable;
         ] );
       ( "bitset",
         [
