@@ -56,7 +56,12 @@ type t = {
   mutable formatted : bool;
   (* track cache *)
   tracks : (int, cached_track) Hashtbl.t;
-  track_gen : (int, int) Hashtbl.t;
+  reading : (int, bool Sim.Ivar.ivar) Hashtbl.t Sim.Cell.cell;
+      (* track -> the read in flight that covers it, filled with
+         whether the read succeeded. Sync role: single-flight is
+         lock-free by design under the cooperative scheduler, since
+         the probe and the registration share one atomic window. *)
+  writing : (int, int) Hashtbl.t;  (* track -> writes submitted, not completed *)
   mutable lru_clock : int;
   (* background stable writes outstanding *)
   mutable pending_background : int;
@@ -101,7 +106,9 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
     extent_rows = Array.make array_rows [];
     formatted = false;
     tracks = Hashtbl.create 64;
-    track_gen = Hashtbl.create 64;
+    reading =
+      Sim.Cell.create ~role:Sim.Sync ~name:(name ^ ":reading") sim (Hashtbl.create 16);
+    writing = Hashtbl.create 16;
     lru_clock = 0;
     pending_background = 0;
     background_done = Sim.Condition.create sim;
@@ -180,10 +187,11 @@ let metadata_fragments t = t.data_start
 let sectors_per_track t = (Disk.geometry t.disk).sectors_per_track
 let sector_bytes t = (Disk.geometry t.disk).sector_bytes
 
-let touch t key track =
+let track_of t sector = sector / sectors_per_track t
+
+let touch t track =
   t.lru_clock <- t.lru_clock + 1;
-  track.last_use <- t.lru_clock;
-  ignore key
+  track.last_use <- t.lru_clock
 
 let evict_if_needed t =
   while Hashtbl.length t.tracks > t.config.track_cache_tracks do
@@ -200,19 +208,16 @@ let evict_if_needed t =
     | None -> ()
   done
 
-let bump_gen t track_idx =
-  let g = match Hashtbl.find_opt t.track_gen track_idx with Some g -> g | None -> 0 in
-  Hashtbl.replace t.track_gen track_idx (g + 1)
-
-let gen_of t track_idx =
-  match Hashtbl.find_opt t.track_gen track_idx with Some g -> g | None -> 0
-
 let cache_insert t track_idx data =
   if t.config.track_cache_tracks > 0 then begin
     (match Hashtbl.find_opt t.tracks track_idx with
-    | Some track -> track.data <- data
-    | None -> Hashtbl.replace t.tracks track_idx { data; last_use = 0 });
-    touch t track_idx (Hashtbl.find t.tracks track_idx);
+    | Some track ->
+      track.data <- data;
+      touch t track
+    | None ->
+      let track = { data; last_use = 0 } in
+      touch t track;
+      Hashtbl.replace t.tracks track_idx track);
     evict_if_needed t
   end
 
@@ -222,7 +227,8 @@ let cache_read t ~sector ~count =
   else begin
     let spt = sectors_per_track t in
     let sb = sector_bytes t in
-    let first_track = sector / spt and last_track = (sector + count - 1) / spt in
+    let first_track = track_of t sector
+    and last_track = track_of t (sector + count - 1) in
     let rec all_present i =
       i > last_track
       ||
@@ -235,7 +241,7 @@ let cache_read t ~sector ~count =
       let out = Bytes.create (count * sb) in
       for tr = first_track to last_track do
         let track = Hashtbl.find t.tracks tr in
-        touch t tr track;
+        touch t track;
         let tr_first_sector = tr * spt in
         let lo = max sector tr_first_sector in
         let hi = min (sector + count) (tr_first_sector + spt) in
@@ -246,14 +252,18 @@ let cache_read t ~sector ~count =
     end
   end
 
-(* Overlay freshly written data onto any cached track it touches. *)
-let cache_update_on_write t ~sector data =
+(* A write is submitted: overlay its data onto any cached track it
+   touches, and count it as pending on each of its tracks until
+   [write_completed] (see [read_tracks]). *)
+let write_submitted t ~sector data =
   let spt = sectors_per_track t in
   let sb = sector_bytes t in
   let count = Bytes.length data / sb in
-  let first_track = sector / spt and last_track = (sector + count - 1) / spt in
+  let first_track = track_of t sector
+  and last_track = track_of t (sector + count - 1) in
   for tr = first_track to last_track do
-    bump_gen t tr;
+    let pending = Option.value (Hashtbl.find_opt t.writing tr) ~default:0 in
+    Hashtbl.replace t.writing tr (pending + 1);
     match Hashtbl.find_opt t.tracks tr with
     | None -> ()
     | Some track ->
@@ -264,14 +274,20 @@ let cache_update_on_write t ~sector data =
         ((hi - lo) * sb)
   done
 
+let write_completed t ~sector ~count =
+  let first_track = track_of t sector
+  and last_track = track_of t (sector + count - 1) in
+  for tr = first_track to last_track do
+    match Hashtbl.find_opt t.writing tr with
+    | Some pending when pending > 1 -> Hashtbl.replace t.writing tr (pending - 1)
+    | Some _ | None -> Hashtbl.remove t.writing tr
+  done
+
 let background_started t = t.pending_background <- t.pending_background + 1
 
 let background_finished t =
   t.pending_background <- t.pending_background - 1;
   if t.pending_background = 0 then Sim.Condition.broadcast t.background_done
-
-let _ = bump_gen
-let _ = gen_of
 
 (* ------------------------------------------------------------------ *)
 (* Data transfer                                                       *)
@@ -281,6 +297,99 @@ let stable_exn t =
   match t.stable with
   | Some s -> s
   | None -> invalid_arg (t.name ^ ": no stable storage configured")
+
+let read_exact t ~sector ~count =
+  let data = Disk.read t.disk ~sector ~count in
+  Counter.incr t.counters "foreground_refs";
+  data
+
+(* The read in flight covering any of the tracks, if one is. *)
+let flight_over t ~first_track ~last_track =
+  let rec find tr =
+    if tr > last_track then None
+    else
+      match Hashtbl.find_opt (Sim.Cell.get t.reading) tr with
+      | Some _ as flight -> flight
+      | None -> find (tr + 1)
+  in
+  find first_track
+
+(* The paper's disk-service caching: fetch what the request needs and
+   "the rest of the data from the same track", all as one trip to the
+   disk. We read whole tracks in a single reference and cache them;
+   the requested sectors are cut out of the track buffer. The read is
+   registered under each of its tracks until it completes, so misses
+   on those tracks wait for it instead of reading them again.
+
+   A track is cached only if no write to it is pending when the read
+   completes. Such a write was submitted before now, so its data is
+   already overlaid on the cache, yet the disk may have served this
+   read first (SSTF and SCAN reorder): caching the read would bury the
+   write. A write that completed before the read did was served first,
+   so the read saw it.
+
+   A decayed sector elsewhere on the track must not fail the request,
+   so a media failure falls back to exactly the needed sectors. *)
+let read_tracks t ~sector ~count ~first_track ~last_track =
+  Counter.incr t.counters "cache_misses";
+  let spt = sectors_per_track t in
+  let sb = sector_bytes t in
+  let read_start = first_track * spt in
+  let read_count = (last_track - first_track + 1) * spt in
+  let flight = Sim.Ivar.create t.sim in
+  let register f =
+    Sim.Cell.update t.reading (fun h ->
+        for tr = first_track to last_track do
+          f h tr
+        done;
+        h)
+  in
+  register (fun h tr -> Hashtbl.replace h tr flight);
+  let read_ok = ref false in
+  let data =
+    Fun.protect
+      ~finally:(fun () ->
+        register Hashtbl.remove;
+        Sim.Ivar.fill flight !read_ok)
+      (fun () ->
+        match Disk.read t.disk ~sector:read_start ~count:read_count with
+        | data ->
+          read_ok := true;
+          Counter.incr t.counters "foreground_refs";
+          Counter.add t.counters "prefetch_sectors" (read_count - count);
+          for tr = first_track to last_track do
+            if not (Hashtbl.mem t.writing tr) then
+              cache_insert t tr (Bytes.sub data ((tr - first_track) * spt * sb) (spt * sb))
+          done;
+          Some (Bytes.sub data ((sector - read_start) * sb) (count * sb))
+        | exception Disk.Media_failure _ -> None)
+  in
+  match data with Some data -> data | None -> read_exact t ~sector ~count
+
+(* Single-flight: a miss on a track already being read joins that read
+   and probes the cache again when it completes; only a miss with no
+   read in flight goes to the disk. If the joined read failed, the
+   waiter reads exactly its own sectors. *)
+let rec read_main t ~sector ~count =
+  match cache_read t ~sector ~count with
+  | Some data ->
+    Counter.incr t.counters "cache_hits";
+    data
+  | None when not (t.config.prefetch && t.config.track_cache_tracks > 0) ->
+    Counter.incr t.counters "cache_misses";
+    read_exact t ~sector ~count
+  | None -> (
+    let first_track = track_of t sector
+    and last_track = track_of t (sector + count - 1) in
+    match flight_over t ~first_track ~last_track with
+    | Some flight ->
+      Counter.incr t.counters "track_joins";
+      if Sim.Ivar.read flight then read_main t ~sector ~count
+      else begin
+        Counter.incr t.counters "cache_misses";
+        read_exact t ~sector ~count
+      end
+    | None -> read_tracks t ~sector ~count ~first_track ~last_track)
 
 let get_block_impl ~source t ~pos ~fragments =
   check_run t ~pos ~fragments;
@@ -294,45 +403,8 @@ let get_block_impl ~source t ~pos ~fragments =
     done;
     out
   | Main ->
-    let sector = pos * t.sectors_per_fragment in
-    let count = fragments * t.sectors_per_fragment in
-    (match cache_read t ~sector ~count with
-    | Some data ->
-      Counter.incr t.counters "cache_hits";
-      data
-    | None ->
-      Counter.incr t.counters "cache_misses";
-      if t.config.prefetch && t.config.track_cache_tracks > 0 then begin
-        (* The paper's disk-service caching: fetch what the request
-           needs and "the rest of the data from the same track", all
-           as one trip to the disk. We read whole tracks in a single
-           reference and cache them; the requested fragments are cut
-           out of the track buffer. A decayed sector elsewhere on the
-           track must not fail the request, so fall back to exactly
-           the needed sectors. *)
-        let spt = sectors_per_track t in
-        let sb = sector_bytes t in
-        let first_track = sector / spt and last_track = (sector + count - 1) / spt in
-        let read_start = first_track * spt in
-        let read_count = (last_track - first_track + 1) * spt in
-        match Disk.read t.disk ~sector:read_start ~count:read_count with
-        | data ->
-          Counter.incr t.counters "foreground_refs";
-          Counter.add t.counters "prefetch_sectors" (read_count - count);
-          for tr = first_track to last_track do
-            cache_insert t tr (Bytes.sub data ((tr - first_track) * spt * sb) (spt * sb))
-          done;
-          Bytes.sub data ((sector - read_start) * sb) (count * sb)
-        | exception Disk.Media_failure _ ->
-          let data = Disk.read t.disk ~sector ~count in
-          Counter.incr t.counters "foreground_refs";
-          data
-      end
-      else begin
-        let data = Disk.read t.disk ~sector ~count in
-        Counter.incr t.counters "foreground_refs";
-        data
-      end)
+    read_main t ~sector:(pos * t.sectors_per_fragment)
+      ~count:(fragments * t.sectors_per_fragment)
 
 let get_block ?(source = Main) t ~pos ~fragments =
   Trace.maybe t.tracer ~service:"block_service" ~op:"get_block"
@@ -356,8 +428,13 @@ let put_block_impl ~dest ~wait t ~pos data =
   check_run t ~pos ~fragments;
   let write_main () =
     let sector = pos * t.sectors_per_fragment in
-    cache_update_on_write t ~sector data;
-    Disk.write t.disk ~sector data;
+    let count = fragments * t.sectors_per_fragment in
+    write_submitted t ~sector data;
+    (match Disk.write t.disk ~sector data with
+    | () -> write_completed t ~sector ~count
+    | exception e ->
+      write_completed t ~sector ~count;
+      raise e);
     Counter.incr t.counters "foreground_refs"
   in
   let write_stable () =
@@ -386,10 +463,9 @@ let put_block ?(dest = Original) ?(wait = Wait_stable) t ~pos data =
 
 let flush_block t ~pos ~fragments =
   check_run t ~pos ~fragments;
-  let spt = sectors_per_track t in
   let sector = pos * t.sectors_per_fragment in
   let count = fragments * t.sectors_per_fragment in
-  for tr = sector / spt to (sector + count - 1) / spt do
+  for tr = track_of t sector to track_of t (sector + count - 1) do
     Hashtbl.remove t.tracks tr
   done
 

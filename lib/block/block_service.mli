@@ -18,7 +18,9 @@
       track(s) containing the request in one disk reference and keeps
       them, so later reads from the same track are served from
       memory — the paper's "caches the rest of the data from the same
-      track".
+      track". Track reads are single-flight: a miss on a track that
+      is already being read waits for that read instead of reading
+      the track again.
 
     The service functions are the paper's five:
     [allocate_block], [free_block], [get_block], [put_block],
@@ -187,7 +189,9 @@ val metadata_fragments : t -> int
 
 val stats : t -> Rhodos_util.Stats.Counter.t
 (** Counters: ["foreground_refs"], ["prefetch_sectors"],
-    ["cache_hits"], ["cache_misses"], ["allocs"], ["frees"],
+    ["cache_hits"], ["cache_misses"] (requests that read the disk
+    themselves), ["track_joins"] (misses that waited on a track read
+    already in flight), ["allocs"], ["frees"],
     ["bitmap_fallbacks"], ["extent_hits"], ["stable_writes"]. *)
 
 val reset_stats : t -> unit

@@ -109,6 +109,10 @@ module Rpc = struct
     ctx : Trace.context option;
         (* trace context captured at [call], re-installed around the
            server-side handler so the whole hop is one causal tree *)
+    expires_at : float;
+        (* no copy of this request can arrive after this time: the
+           last retry is sent [max_retries * timeout_ms] after the
+           first, and a duplicate lands 1.5 transfers after its send *)
   }
 
   type 'resp request_state = In_progress | Completed of 'resp
@@ -119,6 +123,9 @@ module Rpc = struct
     srv_name : string;
     inbox : ('req, 'resp) envelope endpoint;
     seen : (int, 'resp request_state) Hashtbl.t;
+    completed : (int * float) Queue.t;
+        (* ids of [Completed] entries with their [expires_at], in
+           completion order *)
     mutable execs : int;
     mutable running : bool;
     mutable loop : Sim.pid option;
@@ -130,9 +137,21 @@ module Rpc = struct
     send port.net ~size_bytes:env.resp_size ~from:port.node env.reply_to
       (env.id, resp)
 
+  (* Forget the replies no duplicate can ask for any more. Lazy: the
+     FIFO head may outlive an expired entry behind it, which is only
+     dropped once the head goes. *)
+  let expire_replies port =
+    let now = Sim.now port.net.sim in
+    while
+      (not (Queue.is_empty port.completed)) && snd (Queue.peek port.completed) < now
+    do
+      Hashtbl.remove port.seen (fst (Queue.pop port.completed))
+    done
+
   let rec serve_loop port handler () =
     if port.running then begin
       let env = recv port.inbox in
+      expire_replies port;
       (match Hashtbl.find_opt port.seen env.id with
       | Some (Completed resp) ->
         (* Duplicate of a finished request: replay the recorded reply
@@ -153,6 +172,7 @@ module Rpc = struct
                      handler env.req)
                in
                Hashtbl.replace port.seen env.id (Completed resp);
+               Queue.push (env.id, env.expires_at) port.completed;
                reply port env resp)));
       serve_loop port handler ()
     end
@@ -165,6 +185,7 @@ module Rpc = struct
         srv_name = name;
         inbox = endpoint t node;
         seen = Hashtbl.create 64;
+        completed = Queue.create ();
         execs = 0;
         running = true;
         loop = None;
@@ -197,7 +218,11 @@ module Rpc = struct
         let reply_to = endpoint t from in
         let env =
           { id; req; reply_to; resp_size = resp_size_bytes;
-            ctx = Trace.current_opt t.tracer }
+            ctx = Trace.current_opt t.tracer;
+            expires_at =
+              Sim.now t.sim
+              +. (float_of_int (max_retries + 1) *. timeout_ms)
+              +. (2. *. transfer_ms t ~size_bytes) }
         in
         let rec attempt n =
           if n > max_retries then begin
@@ -224,4 +249,5 @@ module Rpc = struct
         attempt 0)
 
   let handler_executions port = port.execs
+  let cached_replies port = Hashtbl.length port.seen
 end

@@ -107,7 +107,9 @@ module Rpc : sig
   (** Start serving: each unique request spawns the handler in its own
       process on the server node. Replies to duplicate request ids are
       replayed from the reply cache without re-executing the handler —
-      the "nearly stateless" idempotent server of the paper. *)
+      the "nearly stateless" idempotent server of the paper. A reply
+      is kept only until no copy of its request can still arrive: the
+      call's last retry plus the network's worst duplicate delay. *)
 
   val stop : ('req, 'resp) port -> unit
 
@@ -132,4 +134,8 @@ module Rpc : sig
   (** How many times the handler actually ran — compare with the
       number of [call]s under duplication to verify at-most-once
       execution. *)
+
+  val cached_replies : ('req, 'resp) port -> int
+  (** Requests the reply cache currently remembers, running or
+      completed. *)
 end

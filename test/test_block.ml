@@ -306,6 +306,160 @@ let test_cache_sees_writes () =
       check bool "fresh data after write" true (Bytes.equal back (frag_payload ~tag:2 2)))
 
 (* ------------------------------------------------------------------ *)
+(* Single-flight track reads                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* On the 4 MiB test disk a track is 64 sectors = 16 fragments, and a
+   cylinder is 8 tracks. Track 1 is fragments 16..31. *)
+let track1 = 16
+
+(* Run each thunk in its own process, all spawned at once, and return
+   their results in order once every one has finished. *)
+let concurrently sim thunks =
+  let ivars =
+    List.map
+      (fun f ->
+        let iv = Sim.Ivar.create sim in
+        ignore (Sim.spawn sim (fun () -> Sim.Ivar.fill iv (f ())));
+        iv)
+      thunks
+  in
+  List.map Sim.Ivar.read ivars
+
+(* Fill track 1 with known bytes and leave it uncached, stats zeroed. *)
+let cold_track svc disk =
+  check bool "track 1 free" true (Block.allocate_at svc ~pos:track1 ~fragments:16);
+  Block.put_block svc ~pos:track1 (frag_payload ~tag:7 16);
+  Block.flush_block svc ~pos:track1 ~fragments:16;
+  Disk.reset_stats disk;
+  Block.reset_stats svc
+
+let block_of_track1 b =
+  Bytes.sub (frag_payload ~tag:7 16) (b * Block.block_bytes) Block.block_bytes
+
+let test_concurrent_misses_share_one_read () =
+  with_service (fun sim svc disk ->
+      cold_track svc disk;
+      let got =
+        concurrently sim
+          (List.init 4 (fun b () ->
+               Block.get_block svc ~pos:(track1 + (4 * b)) ~fragments:4))
+      in
+      List.iteri
+        (fun b data ->
+          check bool (Printf.sprintf "block %d bytes" b) true
+            (Bytes.equal data (block_of_track1 b)))
+        got;
+      let c = Block.stats svc in
+      check int "one disk reference" 1 (Disk.stats disk).references;
+      check int "three reads joined it" 3 (Counter.get c "track_joins");
+      check int "joiners served from the cache" 3 (Counter.get c "cache_hits");
+      check int "one miss" 1 (Counter.get c "cache_misses"))
+
+let test_media_fault_waiters_get_their_bytes () =
+  with_service (fun sim svc disk ->
+      cold_track svc disk;
+      (* Decay a sector of block 3; blocks 0..2 are still readable. *)
+      Disk.inject_media_fault disk ~sector:((track1 + 14) * 4) ~count:1;
+      let got =
+        concurrently sim
+          (List.init 3 (fun b () ->
+               Block.get_block svc ~pos:(track1 + (4 * b)) ~fragments:4))
+      in
+      List.iteri
+        (fun b data ->
+          check bool (Printf.sprintf "block %d bytes" b) true
+            (Bytes.equal data (block_of_track1 b)))
+        got;
+      check int "two reads joined the failed one" 2
+        (Counter.get (Block.stats svc) "track_joins");
+      check int "failed track read + 3 exact reads" 4 (Disk.stats disk).references)
+
+let test_killed_reader_strands_no_waiter () =
+  with_service (fun sim svc disk ->
+      cold_track svc disk;
+      let reader = Sim.spawn sim (fun () -> ignore (Block.get_block svc ~pos:track1 ~fragments:4)) in
+      let waiters =
+        List.init 2 (fun i ->
+            let b = i + 1 in
+            let iv = Sim.Ivar.create sim in
+            ignore
+              (Sim.spawn sim (fun () ->
+                   Sim.Ivar.fill iv
+                     (Block.get_block svc ~pos:(track1 + (4 * b)) ~fragments:4)));
+            (b, iv))
+      in
+      Sim.sleep sim 1.;
+      check int "both waiters joined" 2 (Counter.get (Block.stats svc) "track_joins");
+      Sim.kill sim reader;
+      List.iter
+        (fun (b, iv) ->
+          check bool (Printf.sprintf "block %d bytes" b) true
+            (Bytes.equal (Sim.Ivar.read iv) (block_of_track1 b)))
+        waiters;
+      (* Nothing is left registered: a new miss reads the disk itself. *)
+      let refs = (Disk.stats disk).references in
+      ignore (Block.get_block svc ~pos:(track1 + 12) ~fragments:4);
+      check int "later read joins nothing" 2 (Counter.get (Block.stats svc) "track_joins");
+      check bool "later read went to the disk" true ((Disk.stats disk).references > refs))
+
+(* A read in flight when a write to its track is submitted must not
+   cache the pre-write track: the write's bytes would be lost to every
+   later read that hits the cache. *)
+let test_read_racing_write_caches_no_stale_track () =
+  with_service (fun sim svc disk ->
+      cold_track svc disk;
+      (match
+         concurrently sim
+           [ (fun () -> Some (Block.get_block svc ~pos:track1 ~fragments:2));
+             (fun () ->
+               Block.put_block svc ~pos:track1 (frag_payload ~tag:9 2);
+               None) ]
+       with
+      | Some racing :: _ ->
+        check bool "the racing read was served first" true
+          (Bytes.equal racing (Bytes.sub (block_of_track1 0) 0 (2 * Block.fragment_bytes)))
+      | _ -> Alcotest.fail "no read result");
+      check bool "read back sees the write" true
+        (Bytes.equal (Block.get_block svc ~pos:track1 ~fragments:2) (frag_payload ~tag:9 2)))
+
+(* The same race when the disk reorders: under SSTF a read submitted
+   after the write can still be served before it. Tracks 7 and 8 sit
+   on cylinders 0 and 1. While the disk serves a read on cylinder 0, a
+   write to track 8 queues, then a read of tracks 7-8 that starts on
+   cylinder 0; SSTF serves that read first. *)
+let test_reordered_read_caches_no_stale_track () =
+  run_in_sim (fun sim ->
+      let disk =
+        Disk.create ~name:"main" ~scheduler:Disk.Sstf sim (Disk.geometry_with_capacity (mib 4))
+      in
+      let svc = Block.create ~disk () in
+      Block.format svc;
+      let track7 = 112 and track8 = 128 in
+      check bool "tracks 7-8 free" true (Block.allocate_at svc ~pos:track7 ~fragments:32);
+      check bool "track 1 free" true (Block.allocate_at svc ~pos:track1 ~fragments:16);
+      Block.put_block svc ~pos:track7 (frag_payload ~tag:1 32);
+      Block.flush_block svc ~pos:0 ~fragments:(Block.total_fragments svc);
+      (match
+         concurrently sim
+           [ (fun () ->
+               ignore (Block.get_block svc ~pos:track1 ~fragments:1);
+               None);
+             (fun () ->
+               Block.put_block svc ~pos:track8 (frag_payload ~tag:2 4);
+               None);
+             (fun () -> Some (Block.get_block svc ~pos:(track8 - 4) ~fragments:8)) ]
+       with
+      | [ _; _; Some racing ] ->
+        let fb = Block.fragment_bytes in
+        check bool "the racing read was served first" true
+          (Bytes.equal (Bytes.sub racing (4 * fb) (4 * fb))
+             (Bytes.sub (frag_payload ~tag:1 32) (16 * fb) (4 * fb)))
+      | _ -> Alcotest.fail "no read result");
+      check bool "read back sees the write" true
+        (Bytes.equal (Block.get_block svc ~pos:track8 ~fragments:4) (frag_payload ~tag:2 4)))
+
+(* ------------------------------------------------------------------ *)
 (* Stable storage destinations                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -520,6 +674,19 @@ let () =
           Alcotest.test_case "flush" `Quick test_flush_forces_disk_read;
           Alcotest.test_case "cache coherent with writes" `Quick test_cache_sees_writes;
           QCheck_alcotest.to_alcotest put_get_prop;
+        ] );
+      ( "in-flight",
+        [
+          Alcotest.test_case "concurrent misses share one read" `Quick
+            test_concurrent_misses_share_one_read;
+          Alcotest.test_case "media fault: waiters get their bytes" `Quick
+            test_media_fault_waiters_get_their_bytes;
+          Alcotest.test_case "killed reader strands no waiter" `Quick
+            test_killed_reader_strands_no_waiter;
+          Alcotest.test_case "read racing a write caches no stale track" `Quick
+            test_read_racing_write_caches_no_stale_track;
+          Alcotest.test_case "reordered read caches no stale track" `Quick
+            test_reordered_read_caches_no_stale_track;
         ] );
       ( "stable",
         [

@@ -222,6 +222,65 @@ let test_rpc_duplicate_of_completed_replays_cached () =
     check int "each call executed exactly once" 15 execs
   | None -> Alcotest.fail "simulation did not finish"
 
+(* Replies expire once no copy of their request can still arrive, so
+   the reply cache stays bounded however many calls a port serves. *)
+let test_rpc_reply_cache_bounded () =
+  let r =
+    run_net (fun sim net ->
+        let c = Net.add_node net "c" and s = Net.add_node net "s" in
+        let port = Net.Rpc.serve net s (fun x -> x) in
+        let peak = ref 0 in
+        for i = 1 to 200 do
+          ignore (Net.Rpc.call net ~from:c port i);
+          peak := max !peak (Net.Rpc.cached_replies port);
+          Sim.sleep sim 20.
+        done;
+        (* An idle second expires every entry but the next call's. *)
+        Sim.sleep sim 1000.;
+        ignore (Net.Rpc.call net ~from:c port 0);
+        (!peak, Net.Rpc.cached_replies port))
+  in
+  match r with
+  | Some (peak, after_idle) ->
+    (* A reply lives (5 retries + 1) * 50 ms plus two transfers, about
+       300 ms, and a call starts every ~21.5 ms. *)
+    check bool (Printf.sprintf "peak %d entries <= 16" peak) true (peak <= 16);
+    check int "one entry after an idle second" 1 after_idle
+  | None -> Alcotest.fail "simulation did not finish"
+
+let test_rpc_expiry_keeps_at_most_once () =
+  (* Every message duplicated, with calls spread out so that replies
+     expire throughout: duplicates still replay and nothing runs twice.
+     (Too short a lifetime is caught by the loss tests above, whose
+     retries arrive late in the window.) *)
+  let r =
+    run_net ~seed:7 (fun sim net ->
+        let c = Net.add_node net "c" and s = Net.add_node net "s" in
+        let execs = ref 0 in
+        let port =
+          Net.Rpc.serve net s (fun x ->
+              incr execs;
+              x * 3)
+        in
+        Net.set_duplicate_rate net 1.0;
+        let ok = ref true and peak = ref 0 in
+        for i = 1 to 100 do
+          (match Net.Rpc.call ~timeout_ms:20. ~max_retries:50 net ~from:c port i with
+          | v -> if v <> i * 3 then ok := false
+          | exception Net.Rpc.Timeout _ -> ok := false);
+          peak := max !peak (Net.Rpc.cached_replies port);
+          Sim.sleep sim 50.
+        done;
+        (!ok, !execs, Rhodos_util.Stats.Counter.get (Net.stats net) "rpc_replays", !peak))
+  in
+  match r with
+  | Some (ok, execs, replays, peak) ->
+    check bool "all answers correct" true ok;
+    check int "each call executed exactly once" 100 execs;
+    check int "every duplicate replayed" 100 replays;
+    check bool (Printf.sprintf "cache bounded (peak %d)" peak) true (peak < 100)
+  | None -> Alcotest.fail "simulation did not finish"
+
 let test_rpc_stop () =
   let r =
     run_net (fun _sim net ->
@@ -285,6 +344,9 @@ let () =
             test_rpc_at_most_once_under_duplication;
           Alcotest.test_case "replay cached replies" `Quick
             test_rpc_duplicate_of_completed_replays_cached;
+          Alcotest.test_case "reply cache bounded" `Quick test_rpc_reply_cache_bounded;
+          Alcotest.test_case "expiry keeps at-most-once" `Quick
+            test_rpc_expiry_keeps_at_most_once;
           Alcotest.test_case "stop" `Quick test_rpc_stop;
           QCheck_alcotest.to_alcotest rpc_exactly_once_prop;
         ] );
