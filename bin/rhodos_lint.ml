@@ -1,24 +1,23 @@
-(* Repo lint driver.
+(* Repo lint: the AST-based whole-program analysis (call graph,
+   may-block fixpoint, lock-order graph, wire-protocol coverage,
+   exception flow, shared-state races) plus the syntactic rules.
 
-   [rhodos_lint DIR...] — token-based text lint over every .ml under
-   the given directories (default: lib). Directories named "bench"
-   get the Bench profile. Wired to the @lint alias on the tier-1
-   runtest path.
+   [rhodos_lint [--json] [--baseline FILE] [--write-baseline FILE]
+   [--self-test DIR] [--max-ms N] [DIR...]] sweeps every .ml under the
+   given directories (default: lib). A sweep whose directories are all
+   named "bench" runs the Bench profile; any other runs the Library
+   profile. Exit 0 when clean against the baseline (if any), 1 on new
+   findings (a file that does not parse is one), 2 on usage/IO errors.
+   Wired to the @lint alias on the tier-1 runtest path. *)
 
-   [rhodos_lint static [--json] [--baseline FILE] [--write-baseline
-   FILE] [--self-test DIR] [DIR...]] — the AST-based whole-program
-   analysis (call graph, may-block fixpoint, lock-order graph,
-   wire-protocol coverage, AST ports of the token rules; text-engine
-   fallback for unparseable files). Exit 0 when clean against the
-   baseline (if any), 1 on new findings, 2 on usage/IO errors. Wired
-   to the @staticcheck alias, part of @ci. *)
-
-module Lint = Rhodos_analysis.Lint
+module Ast_rules = Rhodos_static.Ast_rules
 module Static = Rhodos_static.Static
 module Finding = Rhodos_static.Finding
 
-let profile_of dir =
-  if Filename.basename dir = "bench" then Lint.Bench else Lint.Library
+let profile_of dirs =
+  if List.for_all (fun d -> Filename.basename d = "bench") dirs then
+    Ast_rules.Bench
+  else Ast_rules.Library
 
 let require_dir d =
   if not (Sys.file_exists d && Sys.is_directory d) then begin
@@ -26,57 +25,34 @@ let require_dir d =
     exit 2
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let usage_static () =
-  Format.eprintf
-    "usage: rhodos_lint static [--json] [--baseline FILE] [--write-baseline \
-     FILE] [--self-test DIR] [--max-ms N] [DIR...]@.";
-  exit 2
-
-let run_static args =
+let () =
   let json = ref false in
   let baseline = ref None in
   let write_baseline = ref None in
   let self_test = ref None in
   let max_ms = ref None in
   let dirs = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | "--baseline" :: f :: rest ->
-      baseline := Some f;
-      parse rest
-    | "--write-baseline" :: f :: rest ->
-      write_baseline := Some f;
-      parse rest
-    | "--self-test" :: d :: rest ->
-      self_test := Some d;
-      parse rest
-    | "--max-ms" :: n :: rest -> (
-      match float_of_string_opt n with
-      | Some v -> max_ms := Some v; parse rest
-      | None -> usage_static ())
-    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_static ()
-    | d :: rest ->
-      dirs := !dirs @ [ d ];
-      parse rest
-  in
-  parse args;
+  let some r = Arg.String (fun v -> r := Some v) in
+  Arg.parse
+    [
+      ("--json", Arg.Set json, " JSON report (with the race protection map)");
+      ("--baseline", some baseline, "FILE accepted findings");
+      ("--write-baseline", some write_baseline, "FILE record every finding");
+      ("--self-test", some self_test, "DIR check the fixtures' expect: lines");
+      ( "--max-ms",
+        Arg.Float (fun v -> max_ms := Some v),
+        "N fail when the analysis takes longer" );
+    ]
+    (fun d -> dirs := !dirs @ [ d ])
+    "usage: rhodos_lint [OPTION...] [DIR...]";
   match !self_test with
   | Some dir ->
     require_dir dir;
     let ok, lines = Static.self_test ~dir in
     List.iter (fun l -> Format.printf "%s@." l) lines;
-    if ok then Format.printf "staticcheck: self-test passed@."
+    if ok then Format.printf "lint: self-test passed@."
     else begin
-      Format.eprintf "staticcheck: self-test FAILED@.";
+      Format.eprintf "lint: self-test FAILED@.";
       exit 1
     end
   | None ->
@@ -85,24 +61,25 @@ let run_static args =
     (* Sys.time here, not in the library: bin/ is outside the
        host-clock-hygiene lint's jurisdiction, and the per-pass cost
        numbers are a CLI concern anyway. *)
-    let report = Static.analyze ~clock:Sys.time ~dirs () in
+    let report =
+      Static.analyze ~clock:Sys.time ~profile:(profile_of dirs) ~dirs ()
+    in
     let baseline_keys =
       match !baseline with
       | None -> []
       | Some f ->
-        if Sys.file_exists f then Finding.baseline_of_string (read_file f)
+        if Sys.file_exists f then
+          Finding.baseline_of_string
+            (In_channel.with_open_bin f In_channel.input_all)
         else begin
-          Format.eprintf "staticcheck: no such baseline: %s@." f;
+          Format.eprintf "lint: no such baseline: %s@." f;
           exit 2
         end
     in
     (match !write_baseline with
     | None -> ()
     | Some f ->
-      let oc = open_out_bin f in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
+      Out_channel.with_open_bin f (fun oc ->
           output_string oc
             (Finding.baseline_to_string
                (List.map Finding.key report.Static.findings))));
@@ -111,10 +88,6 @@ let run_static args =
       print_string
         (Finding.list_to_json
            ~suppressed:report.Static.suppressed
-           ~parse_failures:
-             (List.map
-                (fun (p, e) -> Printf.sprintf "%s: %s" p e)
-                report.Static.parse_failures)
            ~timings:report.Static.timings
            ~extras:
              [
@@ -125,15 +98,10 @@ let run_static args =
            fresh)
     else begin
       List.iter (fun f -> Format.printf "%a@." Finding.pp f) fresh;
-      List.iter
-        (fun (p, e) ->
-          Format.eprintf "staticcheck: parse failure (text fallback): %s: %s@."
-            p e)
-        report.Static.parse_failures;
       (* A readable added/removed diff against the committed baseline:
          the sweep deviating must say exactly how. *)
       if fresh <> [] || stale <> [] then begin
-        Format.eprintf "staticcheck: baseline diff (%d added, %d removed):@."
+        Format.eprintf "lint: baseline diff (%d added, %d removed):@."
           (List.length fresh) (List.length stale);
         List.iter
           (fun f ->
@@ -153,7 +121,7 @@ let run_static args =
     (match !max_ms with
     | Some budget when total_ms > budget ->
       Format.eprintf
-        "staticcheck: static suite took %.0f ms, over the %.0f ms budget \
+        "lint: static suite took %.0f ms, over the %.0f ms budget \
          (per-pass: %s)@."
         total_ms budget
         (String.concat ", "
@@ -165,31 +133,12 @@ let run_static args =
     if fresh = [] then begin
       if not !json then
         Format.printf
-          "staticcheck: %s clean (%d finding(s) baselined, %d suppressed)@."
+          "lint: %s clean (%d finding(s) baselined, %d suppressed)@."
           (String.concat " " dirs)
           (List.length baseline_keys)
           report.Static.suppressed
     end
     else begin
-      Format.eprintf "staticcheck: %d new finding(s)@." (List.length fresh);
+      Format.eprintf "lint: %d new finding(s)@." (List.length fresh);
       exit 1
     end
-
-let run_text dirs =
-  let dirs = match dirs with [] -> [ "lib" ] | ds -> ds in
-  List.iter require_dir dirs;
-  let violations =
-    List.concat_map (fun d -> Lint.lint_dir ~profile:(profile_of d) d) dirs
-  in
-  List.iter (fun v -> Format.printf "%a@." Lint.pp_violation v) violations;
-  match violations with
-  | [] -> Format.printf "lint: %s clean@." (String.concat " " dirs)
-  | vs ->
-    Format.eprintf "lint: %d violation(s)@." (List.length vs);
-    exit 1
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: "static" :: rest -> run_static rest
-  | [] | [ _ ] -> run_text []
-  | _ :: dirs -> run_text dirs

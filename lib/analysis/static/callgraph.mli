@@ -25,8 +25,11 @@ type t = {
 }
 
 val build : Source.file list -> t
-(** Unparseable files contribute no nodes (the driver text-lints them
-    instead). *)
+(** Unparseable files contribute no nodes (the driver reports them as
+    [parse-error] findings). *)
+
+val binding_name : Parsetree.pattern -> string option
+(** The variable a [let] binds, through type constraints. *)
 
 val node : t -> string -> node option
 

@@ -57,15 +57,11 @@ let to_json f =
     (String.concat "," (List.map q f.witness))
     (q (key f))
 
-let list_to_json ?(suppressed = 0) ?(parse_failures = []) ?(timings = [])
-    ?(extras = []) fs =
+let list_to_json ?(suppressed = 0) ?(timings = []) ?(extras = []) fs =
   let q s = "\"" ^ json_escape s ^ "\"" in
-  Printf.sprintf
-    "{\"findings\":[%s],\"suppressed\":%d,\"parse_failures\":[%s],\
-     \"timings\":[%s]%s}"
+  Printf.sprintf "{\"findings\":[%s],\"suppressed\":%d,\"timings\":[%s]%s}"
     (String.concat "," (List.map to_json fs))
     suppressed
-    (String.concat "," (List.map q parse_failures))
     (String.concat ","
        (List.map
           (fun (pass, secs) ->

@@ -1,6 +1,6 @@
 (** Findings reported by the static passes, with a line-stable
     identity for the committed baseline and a JSON rendering for
-    [rhodos_lint static --json]. *)
+    [rhodos_lint --json]. *)
 
 type t = {
   rule : string;  (** e.g. ["may-block-under-lock"] *)
@@ -41,12 +41,11 @@ val to_json : t -> string
 
 val list_to_json :
   ?suppressed:int ->
-  ?parse_failures:string list ->
   ?timings:(string * float) list ->
   ?extras:(string * string) list ->
   t list ->
   string
-(** [{"findings":[...],"suppressed":n,"parse_failures":[...],
+(** [{"findings":[...],"suppressed":n,
     "timings":[{"pass":...,"ms":...},...]}] — [timings] are
     (pass, seconds) pairs, rendered in milliseconds. Each [extras]
     pair becomes one extra top-level member; the value must already

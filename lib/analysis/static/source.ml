@@ -3,16 +3,15 @@ type file = {
   module_name : string;
   src : string;
   ast : Parsetree.structure option;
-  parse_error : string option;
+  parse_error : (int * string) option;
   suppressions : (int * string) list;
 }
 
 let module_name_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* [(* static-ok: <rule> <reason> *)] — scanned on the raw source so a
-   suppression works even when the file does not parse. The rule is
-   the first word after the marker; everything after it is the
+(* [(* static-ok: <rule> <reason> *)], scanned on the raw source. The
+   rule is the first word after the marker; everything after it is the
    documented justification (required by convention, not enforced). A
    suppression on line L covers findings on L and L+1, so the comment
    can sit on the offending line or on its own line just above. *)
@@ -58,7 +57,11 @@ let parse_string ~filename src =
   Lexing.set_filename lexbuf filename;
   match Parse.implementation lexbuf with
   | ast -> Ok ast
-  | exception e -> Error (Printexc.to_string e)
+  | exception e -> (
+    match Location.error_of_exn e with
+    | Some (`Ok { main = { loc; txt }; _ }) ->
+      Error (loc.loc_start.pos_lnum, Format.asprintf "%t" txt)
+    | _ -> Error (1, Printexc.to_string e))
 
 let of_string ~path src =
   let ast, parse_error =
@@ -75,13 +78,8 @@ let of_string ~path src =
     suppressions = scan_suppressions src;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load path = of_string ~path (read_file path)
+let load path =
+  of_string ~path (In_channel.with_open_bin path In_channel.input_all)
 
 let rec ml_files dir =
   match Sys.readdir dir with

@@ -2,16 +2,16 @@
     compiler's own frontend ([compiler-libs]), and extract
     [static-ok] suppression comments.
 
-    A file that fails to parse keeps [ast = None]; the driver falls
-    back to the token-based text lint for it, so a syntax error never
-    hides a file from analysis entirely. *)
+    A file that fails to parse keeps [ast = None]; the driver reports
+    its [parse_error] as a finding, so a syntax error never hides a
+    file from analysis. *)
 
 type file = {
   path : string;
   module_name : string;  (** capitalised basename, the root module *)
   src : string;
   ast : Parsetree.structure option;  (** [None] when unparseable *)
-  parse_error : string option;
+  parse_error : (int * string) option;  (** line, message *)
   suppressions : (int * string) list;
       (** [(line, rule)] from [(* static-ok: <rule> <reason> *)] *)
 }
@@ -22,9 +22,6 @@ val scan_suppressions : string -> (int * string) list
 
 val suppressed : (int * string) list -> line:int -> rule:string -> bool
 (** A suppression on line L covers findings on L and L+1. *)
-
-val parse_string :
-  filename:string -> string -> (Parsetree.structure, string) result
 
 val of_string : path:string -> string -> file
 (** Build a {!file} from in-memory source (tests use this). *)

@@ -1,27 +1,20 @@
 (* Driver for the AST-based whole-program analysis: load sources,
-   build the call graph, run the passes, apply suppressions, and
-   compare against a committed baseline. Pure — printing and exit
-   codes live in bin/rhodos_lint. *)
-
-module Lint = Rhodos_analysis.Lint
+   build the call graph, run the passes and the syntactic rules, apply
+   suppressions, and compare against a committed baseline. Pure —
+   printing and exit codes live in bin/rhodos_lint. *)
 
 type report = {
   findings : Finding.t list;
   suppressed : int;
-  parse_failures : (string * string) list;
   files : Source.file list;
   timings : (string * float) list;
   race_locations : Racepass.location list;
 }
 
-let finding_of_violation (v : Lint.violation) =
-  Finding.v ~rule:v.Lint.rule ~file:v.Lint.file ~line:v.Lint.line
-    ~slug:"text-fallback" v.Lint.message
-
 (* [clock] defaults to a constant so the library stays free of host
    clocks (the host-clock-hygiene rule); the CLI passes [Sys.time] to
    get real per-pass wall-time in [--json]. *)
-let analyze_files ?(clock = fun () -> 0.) files =
+let analyze_files ?(clock = fun () -> 0.) ?profile files =
   let timings = ref [] in
   let timed name f =
     let t0 = clock () in
@@ -37,23 +30,11 @@ let analyze_files ?(clock = fun () -> 0.) files =
     timed "exnflow" (fun () -> Exnflow.run graph lock)
   in
   let race = timed "racepass" (fun () -> Racepass.run graph mb lock) in
-  let ast = timed "ast-rules" (fun () -> Ast_rules.run files) in
-  (* Files the compiler frontend rejects still get the token engine:
-     a syntax error must not hide a file from analysis. *)
-  let fallback =
-    List.concat_map
-      (fun (f : Source.file) ->
-        match f.Source.ast with
-        | Some _ -> []
-        | None ->
-          List.map finding_of_violation
-            (Lint.lint_source ~file:f.Source.path f.Source.src))
-      files
-  in
+  let ast = timed "ast-rules" (fun () -> Ast_rules.run ?profile files) in
   let all =
     Finding.sort
       (lock.Lockpass.findings @ proto @ exn_findings
-      @ race.Racepass.findings @ ast @ fallback)
+      @ race.Racepass.findings @ ast)
   in
   let suppressions_for path =
     match
@@ -71,21 +52,36 @@ let analyze_files ?(clock = fun () -> 0.) files =
              ~line:f.Finding.line ~rule:f.Finding.rule))
       all
   in
+  (* A file the frontend rejects got no other rule, so its parse error
+     is a finding no suppression can hide. *)
+  let parse_errors =
+    List.filter_map
+      (fun (f : Source.file) ->
+        Option.map
+          (fun (line, msg) ->
+            Finding.v ~rule:"parse-error" ~file:f.Source.path ~line
+              ~slug:"parse" msg)
+          f.Source.parse_error)
+      files
+  in
   {
-    findings = kept;
+    findings = Finding.sort (kept @ parse_errors);
     suppressed = List.length dropped;
-    parse_failures =
-      List.filter_map
-        (fun (f : Source.file) ->
-          Option.map (fun e -> (f.Source.path, e)) f.Source.parse_error)
-        files;
     files;
     timings = List.rev !timings;
     race_locations = race.Racepass.locations;
   }
 
-let analyze ?clock ~dirs () =
-  analyze_files ?clock (List.concat_map Source.load_dir dirs)
+let analyze ?clock ?(profile = Ast_rules.Library) ~dirs () =
+  let files = List.concat_map Source.load_dir dirs in
+  let report = analyze_files ?clock ~profile files in
+  match profile with
+  | Bench -> report
+  | Library ->
+    {
+      report with
+      findings = Finding.sort (Ast_rules.missing_mli files @ report.findings);
+    }
 
 let against_baseline report ~baseline =
   let keys = List.map Finding.key report.findings in
@@ -105,11 +101,6 @@ let against_baseline report ~baseline =
    [(* expect: rule-a rule-b *)] — the findings in this file must be
    exactly that rule set; no directive (or [expect-clean]) — the file
    must be silent. *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let index_of hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -137,7 +128,7 @@ let expected_rules src =
             (String.map (fun c -> if c = '\n' then ' ' else c) stop)))
 
 let self_test ~dir =
-  let report = analyze ~dirs:[ dir ] () in
+  let report = analyze_files (Source.load_dir dir) in
   let ok = ref true in
   let out = ref [] in
   let say fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
@@ -152,10 +143,6 @@ let self_test ~dir =
                if x.Finding.file = f.Source.path then Some x.Finding.rule
                else None)
              report.findings)
-      in
-      let expected =
-        if expected = [] && contains f.Source.src "expect-clean" then []
-        else expected
       in
       if found = expected then
         say "fixture %s: ok (%s)" base
@@ -189,9 +176,4 @@ let self_test ~dir =
           x.Finding.file x.Finding.line
       end)
     report.findings;
-  List.iter
-    (fun (path, err) ->
-      ok := false;
-      say "fixture %s failed to parse: %s" (Filename.basename path) err)
-    report.parse_failures;
   (!ok, List.rev !out)

@@ -1,14 +1,15 @@
 (** Driver for the AST-based static analysis: load, parse, build the
     call graph, run the passes ({!Mayblock} + {!Lockpass},
-    {!Protocol}, {!Exnflow}, {!Racepass}, {!Ast_rules}, token-engine
-    fallback for unparseable sources), apply [static-ok]
-    suppressions, and diff against the committed baseline. Pure —
-    printing and exit codes belong to [bin/rhodos_lint]. *)
+    {!Protocol}, {!Exnflow}, {!Racepass}) and the syntactic rules
+    ({!Ast_rules}), apply [static-ok] suppressions, and diff against
+    the committed baseline. Pure — printing and exit codes belong to
+    [bin/rhodos_lint]. *)
 
 type report = {
-  findings : Finding.t list;  (** after suppressions, sorted *)
+  findings : Finding.t list;
+      (** after suppressions, sorted; a file that fails to parse
+          yields an unsuppressible [parse-error] finding *)
   suppressed : int;
-  parse_failures : (string * string) list;  (** path, error *)
   files : Source.file list;
   timings : (string * float) list;
       (** per-pass wall-time (seconds) in run order; all zero unless
@@ -19,19 +20,27 @@ type report = {
           sites *)
 }
 
-val analyze_files : ?clock:(unit -> float) -> Source.file list -> report
+val analyze_files :
+  ?clock:(unit -> float) -> ?profile:Ast_rules.profile -> Source.file list ->
+  report
 (** [clock] (e.g. [Sys.time], passed by the CLI) times each pass; the
-    default constant clock keeps the library free of host time. *)
+    default constant clock keeps the library free of host time.
+    [profile] (default [Library]) picks the syntactic rules. *)
 
-val analyze : ?clock:(unit -> float) -> dirs:string list -> unit -> report
+val analyze :
+  ?clock:(unit -> float) -> ?profile:Ast_rules.profile -> dirs:string list ->
+  unit -> report
+(** Sweep every [.ml] under [dirs]. Under [Library] (the default) this
+    adds the [missing-mli] file check. *)
 
 val against_baseline :
   report -> baseline:string list -> Finding.t list * string list
 (** (new findings not in the baseline, stale baseline keys). *)
 
 val self_test : dir:string -> bool * string list
-(** Run the engine over a fixture directory and check each file's
-    [expect: rule ...] / [expect-clean] directive; also asserts that
-    every headline finding (blocking, deadlock, exception-flow and
-    race rules) carries a witness chain. Returns pass/fail and a
-    report line per file. *)
+(** Run the engine (Library profile, no [missing-mli]) over a
+    fixture directory and check each file's [expect: rule ...] /
+    [expect-clean] directive; also asserts that every headline
+    finding (blocking, deadlock, exception-flow and race rules)
+    carries a witness chain. Returns pass/fail and a report line per
+    file. *)

@@ -57,6 +57,11 @@ type open_fit = {
   mutable pins : int;
       (* operations in flight on this entry: never evict while > 0,
          or a blocked writer and a fresh reload would diverge *)
+  writer : Sim.Semaphore.sem;
+      (* orders size-changing operations on this file: pwrite reads the
+         old size and zero-fills up to its offset, then blocks on I/O,
+         so a second writer in that window would zero the first's
+         blocks. Reads stay concurrent. *)
 }
 
 type t = {
@@ -169,7 +174,10 @@ let load_fit t id =
             let raw = Block.get_block t.disks.(disk) ~pos:frag ~fragments:fpb in
             fit.Fit.runs <- fit.Fit.runs @ Fit.decode_indirect raw)
           fit.Fit.indirect;
-        let ofit = { fit; runs_dirty = false; last_use = 0; pins = 1 } in
+        let ofit =
+          { fit; runs_dirty = false; last_use = 0; pins = 1;
+            writer = Sim.Semaphore.create t.sim 1 }
+        in
         touch_fit t ofit;
         Hashtbl.replace t.fits id ofit;
         (* The fresh entry is pinned across the eviction pass so it
@@ -184,6 +192,13 @@ let with_fit t id f =
   let ofit = load_fit t id in
   ofit.pins <- ofit.pins + 1;
   Fun.protect ~finally:(fun () -> ofit.pins <- ofit.pins - 1) (fun () -> f ofit)
+
+(* [with_fit] for operations that change the file's size or extents:
+   one at a time per file. The pin keeps the entry (and so its
+   semaphore) cached while a writer waits. *)
+let with_fit_write t id f =
+  with_fit t id (fun ofit ->
+      Sim.Semaphore.with_acquire ofit.writer (fun () -> f ofit))
 
 (* Persist a FIT: indirect blocks first (allocating/freeing as the
    overflow grows or shrinks), then the FIT fragment itself — written
@@ -245,7 +260,10 @@ let create_file ?(service_type = Fit.Basic) ?(locking_level = Fit.Page_level)
   Fit.append_blocks fit ~disk:home_disk ~frag:(frag + 1) ~blocks:1;
   let id = id_encode ~disk:home_disk ~frag in
   Hashtbl.remove t.deleted id;
-  let ofit = { fit; runs_dirty = false; last_use = 0; pins = 1 } in
+  let ofit =
+    { fit; runs_dirty = false; last_use = 0; pins = 1;
+      writer = Sim.Semaphore.create t.sim 1 }
+  in
   touch_fit t ofit;
   Hashtbl.replace t.fits id ofit;
   evict_fits_if_needed t;
@@ -589,7 +607,7 @@ let pwrite_impl t id ~off data =
   if off < 0 then invalid_arg "pwrite: negative offset";
   let len = Bytes.length data in
   if len > 0 then
-    with_fit t id (fun ofit ->
+    with_fit_write t id (fun ofit ->
     let fit = ofit.fit in
     let old_size = fit.Fit.size in
     let old_blocks = (old_size + block_size - 1) / block_size in
@@ -617,7 +635,7 @@ let pwrite t id ~off data =
 
 let truncate t id new_size =
   if new_size < 0 then invalid_arg "truncate: negative size";
-  with_fit t id (fun ofit ->
+  with_fit_write t id (fun ofit ->
   let fit = ofit.fit in
   if new_size > fit.Fit.size then begin
     (* Grow: zero-fill the extension. *)

@@ -375,8 +375,9 @@ module Cell : sig
   val get : 'a cell -> 'a
   (** Read the cell (emits [M_cell_read]). When the payload is itself
       mutable (a [Hashtbl]), mutate it through {!update}, not through
-      the alias [get] returns — the [raw-shared-cell] lint flags the
-      latter. *)
+      the alias [get] returns: the [raw-shared-cell] lint flags a
+      [Hashtbl] mutator applied to a [get] result, as in
+      [Hashtbl.remove (Cell.get c) k]. *)
 
   val set : 'a cell -> 'a -> unit
   (** Replace the payload (emits [M_cell_write]). *)

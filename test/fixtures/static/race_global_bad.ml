@@ -2,8 +2,10 @@
    increment is atomic under the cooperative scheduler (no blocking
    call splits the read from the write, so no static-race), but the
    state is shared across simulation worlds and invisible to the
-   sanitizer — it must move into a per-world Sim.Cell. *)
-(* expect: unmonitored-shared-state *)
+   sanitizer — it must move into a per-world Sim.Cell. The race pass
+   reports it as reached by concurrent roots, global-mutable-state as
+   module-level state. *)
+(* expect: global-mutable-state unmonitored-shared-state *)
 
 let minted = ref 0
 

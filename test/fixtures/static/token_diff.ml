@@ -1,12 +1,12 @@
-(* Differential fixture for the migrated token rules. The two true
-   positives below must be caught by the AST engine (and by the text
-   engine). [table] is a module-level Hashtbl but no concurrency root
-   ever reaches it, so the race pass (which superseded the blanket
-   global-mutable-state rule) stays rightly silent. The baits at the
-   bottom are historical token-engine weak spots: a multi-line
-   [let ... in] local binding (not module state) and an identifier
-   that merely contains "sort" (must not absolve the fold). *)
-(* expect: hashtbl-iter-order no-unseeded-random *)
+(* Syntactic-rule fixture. [table] is module-level mutable state:
+   global-mutable-state flags it even though no concurrency root
+   reaches it (so the race pass's unmonitored-shared-state stays
+   silent). [pick] draws from the unseeded global Random and [keys]
+   hands hash-bucket order to its caller. The baits at the bottom must
+   stay silent: a multi-line [let ... in] local binding (not module
+   state) and an identifier that merely contains "sort" (must not
+   absolve the fold). *)
+(* expect: global-mutable-state hashtbl-iter-order no-unseeded-random *)
 
 let table = Hashtbl.create 16
 

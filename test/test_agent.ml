@@ -271,9 +271,9 @@ let test_fa_large_write_not_lost () =
   (* Regression: the file size grew only after the block loop, so a
      block this same pwrite evicted was flushed trimmed to the old size
      (0) and marked clean unsent: 192 of 256 blocks read back as zeros
-     from a second client. Through [Cluster], not the local connections
-     above: with no network delay the file service loses blocks of two
-     concurrent extending writes (a separate, open bug). *)
+     from a second client. Through [Cluster], with network delay; the
+     same write over the local connections is "local large write not
+     lost" below. *)
   let module Cluster = Rhodos.Cluster in
   Cluster.run (fun _ t ->
       let blocks = 256 in
@@ -287,6 +287,31 @@ let test_fa_large_write_not_lost () =
       let differ = ref 0 in
       for bi = 0 to blocks - 1 do
         let got = Cluster.pread reader d ~off:(bi * 8192) ~len:8192 in
+        if not (Bytes.equal got (Bytes.sub data (bi * 8192) 8192)) then incr differ
+      done;
+      check int "blocks that differ" 0 !differ)
+
+let test_fa_local_large_write_not_lost () =
+  (* Regression: over the local connections (no network delay) the
+     agent's eviction writeback of a block and its flush of the blocks
+     after it reach the file service as two concurrent extending
+     pwrites. Each read the old size and zero-filled the gap below its
+     offset while the other was blocked on disk I/O, so the second
+     zero-fill overwrote the first writer's blocks: 127 of 256 blocks
+     read back as zeros. *)
+  run_in_sim (fun sim ->
+      let _, _, fs_conn, _ = make_world sim in
+      let blocks = 256 in
+      let data = Bytes.init (blocks * 8192) (fun i -> Char.chr (1 + (i / 8192 mod 250))) in
+      let writer = Fa.create ~sim ~conn:fs_conn () in
+      let d = Fa.create_file writer ~path:"/big" in
+      Fa.pwrite writer d ~off:0 ~data;
+      Fa.close writer d;
+      let reader = Fa.create ~sim ~conn:fs_conn () in
+      let d = Fa.open_file reader ~path:"/big" in
+      let differ = ref 0 in
+      for bi = 0 to blocks - 1 do
+        let got = Fa.pread reader d ~off:(bi * 8192) ~len:8192 in
         if not (Bytes.equal got (Bytes.sub data (bi * 8192) 8192)) then incr differ
       done;
       check int "blocks that differ" 0 !differ)
@@ -570,6 +595,8 @@ let () =
             test_fa_random_reads_no_prefetch;
           Alcotest.test_case "large write not lost" `Quick
             test_fa_large_write_not_lost;
+          Alcotest.test_case "local large write not lost" `Quick
+            test_fa_local_large_write_not_lost;
           Alcotest.test_case "write survives in-flight prefetch" `Quick
             test_fa_write_survives_inflight_prefetch;
           Alcotest.test_case "failed prefetch is not a hit" `Quick

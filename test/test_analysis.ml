@@ -3,7 +3,7 @@
    Table 1 model checker, the determinism sanitizer, the bounded
    model checker (controlled scheduling, schedule replay, crash-point
    sweeps, the lost-update negative control), the Sim audit hooks and
-   the repo lint pass. *)
+   the repo lint rules (run on the static engine). *)
 
 open Alcotest
 module Sim = Rhodos_sim.Sim
@@ -15,7 +15,10 @@ module Scenarios = Rhodos_analysis.Scenarios
 module Table_check = Rhodos_analysis.Table_check
 module Determinism = Rhodos_analysis.Determinism
 module Explore = Rhodos_analysis.Explore
-module Lint = Rhodos_analysis.Lint
+module Static = Rhodos_static.Static
+module Ast_rules = Rhodos_static.Ast_rules
+module Source = Rhodos_static.Source
+module Finding = Rhodos_static.Finding
 module Vclock = Rhodos_analysis.Vclock
 module Sanitizer = Rhodos_analysis.Sanitizer
 module Cache = Rhodos_cache.Buffer_cache
@@ -468,91 +471,106 @@ let test_lifo_tie_break () =
     (Pq.pop q)
 
 (* ------------------------------------------------------------------ *)
-(* Lint engine                                                         *)
+(* Lint rules                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rules vs = List.map (fun v -> v.Lint.rule) vs
+(* One in-memory source through the whole engine: the syntactic rules
+   of [profile], the whole-program passes and suppressions. Rule lists
+   compare as sorted lists. *)
+let lint ?profile ~file src =
+  (Static.analyze_files ?profile [ Source.of_string ~path:file src ])
+    .Static.findings
+
+let rules fs = List.map (fun (f : Finding.t) -> f.Finding.rule) fs
+let rule_set = slist string compare
 
 let test_lint_catch_all () =
-  check (list string) "try with _ flagged" [ "no-catch-all" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let f x = try g x with _ -> 0"));
-  check (list string) "multiline try with | _ flagged" [ "no-catch-all" ]
+  check rule_set "try with _ flagged" [ "no-catch-all" ]
+    (rules (lint ~file:"t.ml" "let f x = try g x with _ -> 0"));
+  check rule_set "multiline try with | _ flagged" [ "no-catch-all" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"));
-  check int "line number points at the with" 4
+       (lint ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"));
+  check int "line number points at the _ handler" 5
     (match
-       Lint.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"
+       lint ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"
      with
-    | [ v ] -> v.Lint.line
+    | [ v ] -> v.Finding.line
     | _ -> -1);
-  check (list string) "wildcard with guard flagged" [ "no-catch-all" ]
+  check rule_set "wildcard with guard flagged" [ "no-catch-all" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x = try g x with _ when p x -> 0"))
+       (lint ~file:"t.ml" "let f x = try g x with _ when p x -> 0"))
 
 let test_lint_catch_all_negatives () =
-  check (list string) "match wildcard allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let f x = match x with _ -> 0"));
-  check (list string) "record update allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let f g = { g with a = 1 }"));
-  check (list string) "named handler allowed" []
+  check rule_set "match wildcard allowed" []
+    (rules (lint ~file:"t.ml" "let f x = match x with _ -> 0"));
+  check rule_set "record update allowed" []
+    (rules (lint ~file:"t.ml" "let f g = { g with a = 1 }"));
+  check rule_set "named handler allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x = try g x with Not_found -> 0"));
-  check (list string) "catch-all in comment allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* try f with _ -> 0 *) let x = 1"));
-  check (list string) "nested match inside try allowed" []
+       (lint ~file:"t.ml" "let f x = try g x with Not_found -> 0"));
+  check rule_set "catch-all in comment allowed" []
+    (rules (lint ~file:"t.ml" "(* try f with _ -> 0 *) let x = 1"));
+  check rule_set "nested match inside try allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (lint ~file:"t.ml"
           "let f x = try (match x with _ -> 1) with Failure _ -> 0"))
 
 let test_lint_forbidden () =
   (* a host clock trips both the general rule and the hygiene rule *)
-  check (list string) "Unix. flagged" [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Unix.gettimeofday ()"));
-  check (list string) "Random.self_init flagged" [ "no-wall-clock" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let () = Random.self_init ()"));
-  check (list string) "Sys.time flagged"
+  check rule_set "Unix. flagged" [ "no-wall-clock"; "host-clock-hygiene" ]
+    (rules (lint ~file:"t.ml" "let t = Unix.gettimeofday ()"));
+  check rule_set "Random.self_init flagged" [ "no-wall-clock" ]
+    (rules (lint ~file:"t.ml" "let () = Random.self_init ()"));
+  check rule_set "Sys.time flagged"
     [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Sys.time ()"));
-  check (list string) "in a string literal, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let s = \"Unix.stat\""));
-  check (list string) "in a comment, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* Unix.stat *) let x = 1"));
-  check (list string) "prefix of another ident, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let t = My_unix.now ()"))
+    (rules (lint ~file:"t.ml" "let t = Sys.time ()"));
+  check rule_set "in a string literal, allowed" []
+    (rules (lint ~file:"t.ml" "let s = \"Unix.stat\""));
+  check rule_set "in a comment, allowed" []
+    (rules (lint ~file:"t.ml" "(* Unix.stat *) let x = 1"));
+  check rule_set "prefix of another ident, allowed" []
+    (rules (lint ~file:"t.ml" "let t = My_unix.now ()"));
+  List.iter
+    (fun src ->
+      check rule_set src [ "no-wall-clock" ] (rules (lint ~file:"t.ml" src)))
+    [
+      "open Unix"; "let f () = let open Unix in f ()"; "let f () = Unix.(f ())";
+      "type t = Unix.tm"; "module U = Unix"; "let f = function Unix.X -> 0";
+    ]
 
 let test_lint_host_clock () =
-  check (list string) "monotonic clock outside the profiler flagged"
+  check rule_set "monotonic clock outside the profiler flagged"
     [ "host-clock-hygiene" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let t = Monotonic_clock.now ()"));
-  check (list string) "Unix.times flagged"
+       (lint ~file:"t.ml" "let t = Monotonic_clock.now ()"));
+  check rule_set "Unix.times flagged"
     [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Unix.times ()"));
-  check (list string) "the profiler module is the sanctioned reader" []
+    (rules (lint ~file:"t.ml" "let t = Unix.times ()"));
+  check rule_set "the profiler module is the sanctioned reader" []
     (rules
-       (Lint.lint_source ~file:"lib/obs/profiler.ml"
+       (lint ~file:"lib/obs/profiler.ml"
           "let now_ns () = Int64.to_int (Monotonic_clock.now ())"));
-  check (list string) "in a comment, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* Monotonic_clock.now *) let x = 1"));
-  check (list string) "bench profile may time itself" []
+  check rule_set "in a comment, allowed" []
+    (rules (lint ~file:"t.ml" "(* Monotonic_clock.now *) let x = 1"));
+  check rule_set "bench profile may time itself" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"micro.ml"
+       (lint ~profile:Ast_rules.Bench ~file:"micro.ml"
           "let run () = ()\nlet t = Monotonic_clock.now ()"))
 
 let test_lint_hot_path () =
   (* the rule watches sim.ml's dispatch/step/run let-regions only *)
-  check (list string) "allocating pop in Sim.step flagged"
+  check rule_set "allocating pop in Sim.step flagged"
     [ "hot-path-alloc" ]
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (lint ~file:"lib/sim/sim.ml"
           "let step t =\n  match Prio_queue.pop t.events with\n  | None -> false\n  | Some _ -> true"));
-  check (list string) "ready scan in Sim.run flagged" [ "hot-path-alloc" ]
+  check rule_set "ready scan in Sim.run flagged" [ "hot-path-alloc" ]
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (lint ~file:"lib/sim/sim.ml"
           "let run t =\n  ignore (Prio_queue.ready t.events)"));
-  check (list string) "allocation-free accessors allowed" []
+  check rule_set "allocation-free accessors allowed" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (lint ~file:"lib/sim/sim.ml"
           "let step t =\n\
           \  if Prio_queue.is_empty t.events then false\n\
           \  else begin\n\
@@ -560,103 +578,109 @@ let test_lint_hot_path () =
           \    let ev = Prio_queue.pop_into t.events in\n\
           \    ignore (time, ev); true\n\
           \  end"));
-  check (list string) "other let-regions are free to use the full API" []
+  check rule_set "other let-regions are free to use the full API" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (lint ~file:"lib/sim/sim.ml"
           "let controlled_step t =\n  ignore (Prio_queue.ready t.events)"));
-  check (list string) "static-ok escape hatch honoured" []
+  check rule_set "static-ok escape hatch honoured" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (lint ~file:"lib/sim/sim.ml"
           "let run t =\n\
-          \  (* static-ok: drained once at shutdown *)\n\
-          \  ignore (Prio_queue.drain t.events) (* static-ok: shutdown *)"));
-  check (list string) "rule is scoped to sim.ml" []
+          \  (* static-ok: hot-path-alloc drained once at shutdown *)\n\
+          \  ignore (Prio_queue.drain t.events)"));
+  check rule_set "rule is scoped to sim.ml" []
     (rules
-       (Lint.lint_source ~file:"lib/analysis/explore.ml"
+       (lint ~file:"lib/analysis/explore.ml"
           "let run t = ignore (Prio_queue.ready t.events)"));
   check int "line number points at the offending token" 2
     (match
-       Lint.lint_source ~file:"lib/sim/sim.ml"
+       lint ~file:"lib/sim/sim.ml"
          "let dispatch t =\n  ignore (Prio_queue.drain t.events)"
      with
-    | [ v ] -> v.Lint.line
+    | [ v ] -> v.Finding.line
     | _ -> -1)
 
 let test_lint_pairing () =
-  check (list string) "acquire without release flagged" [ "paired-release" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let f s = Semaphore.acquire s"));
-  check (list string) "acquire with release allowed" []
+  check rule_set "acquire without release flagged" [ "paired-release" ]
+    (rules (lint ~file:"t.ml" "let f s = Semaphore.acquire s"));
+  check rule_set "acquire with release allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (lint ~file:"t.ml"
           "let f s = Semaphore.acquire s; g (); Semaphore.release s"))
 
 let test_lint_bench_profile () =
-  check (list string) "unregistered experiment flagged" [ "bench-emitter" ]
-    (rules (Lint.lint_source ~profile:Lint.Bench ~file:"exp_e99.ml" "let run () = ()"));
-  check (list string) "registered experiment allowed" []
+  check rule_set "unregistered experiment flagged" [ "bench-emitter" ]
+    (rules (lint ~profile:Ast_rules.Bench ~file:"exp_e99.ml" "let run () = ()"));
+  check rule_set "registered experiment allowed" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"exp_e99.ml"
+       (lint ~profile:Ast_rules.Bench ~file:"exp_e99.ml"
           "let () = Json_out.register \"E99\"\nlet run () = ()"));
-  check (list string) "non-experiment bench module exempt" []
-    (rules (Lint.lint_source ~profile:Lint.Bench ~file:"micro.ml" "let run () = ()"));
-  check (list string) "bench profile may print tables" []
+  check rule_set "non-experiment bench module exempt" []
+    (rules (lint ~profile:Ast_rules.Bench ~file:"micro.ml" "let run () = ()"));
+  check rule_set "bench profile may print tables" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"common.ml"
+       (lint ~profile:Ast_rules.Bench ~file:"common.ml"
           "let note fmt = Printf.printf fmt"));
-  check (list string) "library profile ignores experiment naming" []
-    (rules (Lint.lint_source ~file:"exp_e99.ml" "let run () = ()"))
+  check rule_set "library profile ignores experiment naming" []
+    (rules (lint ~file:"exp_e99.ml" "let run () = ()"))
 
 let test_lint_repo_clean () =
   (* The tree under test is copied into _build, so ../lib is the
      library source seen by the build. *)
   let dir = Filename.concat Filename.parent_dir_name "lib" in
   if Sys.file_exists dir && Sys.is_directory dir then begin
-    let vs = Lint.lint_dir dir in
-    List.iter
-      (fun v -> Printf.printf "%s:%d: %s %s\n" v.Lint.file v.Lint.line
-          v.Lint.rule v.Lint.message)
-      vs;
-    check int "lib/ lints clean" 0 (List.length vs)
+    let fs = (Static.analyze ~dirs:[ dir ] ()).Static.findings in
+    List.iter (fun f -> Format.printf "%a@." Finding.pp f) fs;
+    check int "lib/ lints clean" 0 (List.length fs)
   end
 
 let test_lint_global_state () =
-  check (list string) "module-level Hashtbl flagged" [ "global-mutable-state" ]
+  check rule_set "module-level Hashtbl flagged" [ "global-mutable-state" ]
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (lint ~file:"t.ml"
           "let sources : (string, int) Hashtbl.t = Hashtbl.create 8"));
-  check (list string) "module-level ref flagged" [ "global-mutable-state" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let hits = ref 0"));
-  check (list string) "creator function allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let create () = Hashtbl.create 8"));
-  check (list string) "parameterized binding allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let clone (t : t) = ref t.v"));
-  check (list string) "nested binding allowed" []
+  check rule_set "module-level ref flagged" [ "global-mutable-state" ]
+    (rules (lint ~file:"t.ml" "let hits = ref 0"));
+  check rule_set "creator function allowed" []
+    (rules (lint ~file:"t.ml" "let create () = Hashtbl.create 8"));
+  check rule_set "parameterized binding allowed" []
+    (rules (lint ~file:"t.ml" "let clone (t : t) = ref t.v"));
+  check rule_set "nested binding allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (lint ~file:"t.ml"
           "let f x =\n    let q = Queue.create () in\n    ignore q; x"));
-  check (list string) "no file is allowlisted anymore"
+  check rule_set "no file is allowlisted anymore"
     [ "global-mutable-state" ]
-    (rules (Lint.lint_source ~file:"logging.ml" "let sources = Hashtbl.create 8"))
+    (rules (lint ~file:"logging.ml" "let sources = Hashtbl.create 8"))
 
 let test_lint_raw_cell () =
-  check (list string) "raw Hashtbl op on a migrated field flagged"
+  check rule_set "raw Hashtbl op on a migrated field flagged"
     [ "raw-shared-cell" ]
     (rules
-       (Lint.lint_source ~file:"file_agent.ml"
+       (lint ~file:"file_agent.ml"
           "let forget t k = Hashtbl.remove t.inflight k"));
-  check (list string) "raw field assignment flagged" [ "raw-shared-cell" ]
+  check rule_set "raw field assignment flagged" [ "raw-shared-cell" ]
     (rules
-       (Lint.lint_source ~file:"buffer_cache.ml" "let reset t v = t.buffers <- v"));
-  check (list string) "cell accessors allowed" []
+       (lint ~file:"buffer_cache.ml" "let reset t v = t.buffers <- v"));
+  check rule_set "cell accessors allowed" []
     (rules
-       (Lint.lint_source ~file:"file_agent.ml"
+       (lint ~file:"file_agent.ml"
           "let pending t = Cell.get t.inflight"));
-  check (list string) "same pattern in an uninstrumented file allowed" []
+  check rule_set "same pattern in an uninstrumented file allowed" []
     (rules
-       (Lint.lint_source ~file:"other.ml"
+       (lint ~file:"other.ml"
           "let forget t k = Hashtbl.remove t.inflight k"));
-  check (list string) "unrelated fields unconstrained" []
-    (rules (Lint.lint_source ~file:"file_agent.ml" "let bump t v = t.stats <- v"))
+  check rule_set "Hashtbl mutator on a Cell.get alias flagged"
+    [ "raw-shared-cell" ]
+    (rules
+       (lint ~file:"file_agent.ml"
+          "let forget t k = Hashtbl.remove (Sim.Cell.get t.inflight) k"));
+  check rule_set "lookup through a Cell.get alias allowed" []
+    (rules
+       (lint ~file:"file_agent.ml"
+          "let has t k = Hashtbl.mem (Sim.Cell.get t.inflight) k"));
+  check rule_set "unrelated fields unconstrained" []
+    (rules (lint ~file:"file_agent.ml" "let bump t v = t.stats <- v"))
 
 (* ------------------------------------------------------------------ *)
 (* Race and protocol sanitizers                                        *)

@@ -1,9 +1,9 @@
 (* Unit tests for the AST-based static analysis: call-graph
    construction and name canonicalisation, the may-block fixpoint,
    the lock pass (held-state scan + lock-order cycles), wire-protocol
-   coverage, suppressions and baselines — all on inline programs —
-   plus the token-engine regression fixes and the AST-vs-token
-   differential over lib/ and the committed fixtures. *)
+   coverage, suppressions, parse failures and baselines — all on
+   inline programs — plus the regression cases for the syntactic
+   rules' old token-scan weak spots. *)
 
 module Source = Rhodos_static.Source
 module Callgraph = Rhodos_static.Callgraph
@@ -11,8 +11,6 @@ module Mayblock = Rhodos_static.Mayblock
 module Lockpass = Rhodos_static.Lockpass
 module Finding = Rhodos_static.Finding
 module Static = Rhodos_static.Static
-module Ast_rules = Rhodos_static.Ast_rules
-module Lint = Rhodos_analysis.Lint
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -312,14 +310,19 @@ let test_baseline_round_trip () =
   check bool "unbaselined findings are fresh" true (fresh <> []);
   check bool "unknown key is stale" true (stale = [ "bogus|key|x|y" ])
 
+let test_parse_failure () =
+  let report =
+    analyze [ ("bad.ml", "let x = ( (* static-ok: parse-error reason *)") ]
+  in
+  check bool "an unparseable file is a finding" true
+    (has_rule report "parse-error");
+  check int "that no suppression hides" 0 report.Static.suppressed
+
 (* ------------------------------------------------------------------ *)
-(* Token-engine regression fixes                                       *)
+(* Token-scan weak spots, on the AST rules                             *)
 (* ------------------------------------------------------------------ *)
 
-let token_rules src =
-  List.map
-    (fun (v : Lint.violation) -> v.Lint.rule)
-    (Lint.lint_source ~file:"x.ml" src)
+let token_rules src = rules (analyze [ ("x.ml", src) ])
 
 let test_multiline_let_in_not_global () =
   let src =
@@ -342,37 +345,6 @@ let test_sort_needs_token_boundary () =
   check bool "a real sort absolves" false
     (flagged
        "let keys t = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) t [])\n")
-
-(* ------------------------------------------------------------------ *)
-(* Differential: AST findings cover the token engine's true positives  *)
-(* ------------------------------------------------------------------ *)
-
-let differential dir =
-  let files = Source.load_dir dir in
-  let report = Static.analyze_files files in
-  List.iter
-    (fun (f : Source.file) ->
-      match f.Source.ast with
-      | None -> () (* token engine is the only engine there *)
-      | Some _ ->
-        List.iter
-          (fun (v : Lint.violation) ->
-            if List.mem v.Lint.rule Ast_rules.migrated_rules then
-              check bool
-                (Printf.sprintf "AST engine covers %s at %s:%d" v.Lint.rule
-                   v.Lint.file v.Lint.line)
-                true
-                (List.exists
-                   (fun (x : Finding.t) ->
-                     x.Finding.rule = v.Lint.rule
-                     && x.Finding.file = v.Lint.file
-                     && x.Finding.line = v.Lint.line)
-                   report.Static.findings))
-          (Lint.lint_source ~file:f.Source.path f.Source.src))
-    files
-
-let test_differential_lib () = differential "../lib"
-let test_differential_fixtures () = differential "fixtures/static"
 
 let test_fixture_self_test () =
   let ok, lines = Static.self_test ~dir:"fixtures/static" in
@@ -1039,6 +1011,8 @@ let () =
           Alcotest.test_case "baseline round trip" `Quick
             test_baseline_round_trip;
           Alcotest.test_case "fixture self-test" `Quick test_fixture_self_test;
+          Alcotest.test_case "parse failure fails the sweep" `Quick
+            test_parse_failure;
         ] );
       ( "token-engine",
         [
@@ -1099,10 +1073,5 @@ let () =
           Alcotest.test_case "deterministic JSON" `Quick
             test_race_json_deterministic;
           QCheck_alcotest.to_alcotest prop_lockset_subset;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "lib/" `Quick test_differential_lib;
-          Alcotest.test_case "fixtures" `Quick test_differential_fixtures;
         ] );
     ]
