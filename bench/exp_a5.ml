@@ -1,7 +1,7 @@
 (* A5 — ablation: what the race/protocol sanitizer costs on the hot
    workloads. Two claims: (1) disabled is free — with no sanitizer
-   attached every instrumentation touch point is a single [None]
-   match, so the E0/E15 shapes dispatch the same events to the same
+   attached every instrumentation touch point is a single
+   [has_subscribers] test, so the E0/E15 shapes dispatch the same events to the same
    digest in the same simulated time as a never-instrumented run
    would; (2) enabled is behaviour-neutral — attaching the sanitizer
    (vector clocks, lockset tracking, protocol monitors) changes
@@ -125,7 +125,7 @@ let run () =
   print_table table;
   note
     "digest, event count and simulated time are identical with the\n\
-     sanitizer off and on: disabled instrumentation is one None match\n\
-     per touch point, and enabled emission never schedules events. The\n\
+     sanitizer off and on: disabled instrumentation is one subscriber\n\
+     test per touch point, and enabled emission never schedules events. The\n\
      residual cost is host-side only, proportional to the monitor\n\
      events per dispatched simulator event above."

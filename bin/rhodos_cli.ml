@@ -184,13 +184,22 @@ let run_session ~ndisks ~remote ~latency ~seed ~commands =
 
 module Trace = Rhodos_obs.Trace
 module Export = Rhodos_obs.Export
+module Profiler = Rhodos_obs.Profiler
+module Sanitizer = Rhodos_analysis.Sanitizer
+
+(* Who watches the E0 walk: nobody (the zero-cost path), the span
+   collector alone, or every reader on the one world at once — the
+   span collector and the profiler around the cold read, and a
+   sanitizer on the world's monitor bus from the first client on. *)
+type watchers = Nobody | Spans | All_readers
 
 (* One cold 64 KiB read (the E0 walk): create /walk, write it out,
    drop every cache, then trace the re-read. Returns the finished
-   spans and the simulation digest. [traced = false] runs the same
-   workload with no subscriber attached (the zero-cost path). *)
-let cold_read_spans ~traced () =
+   spans, the simulation digest and the sanitizer, if any. *)
+let cold_read_spans watchers =
   Cluster.run (fun sim t ->
+      let all = watchers = All_readers in
+      let sz = if all then Some (Sanitizer.create sim) else None in
       let ws = Cluster.add_client t ~name:"ws" in
       let payload = Bytes.init (64 * 1024) (fun i -> Char.chr (i mod 251)) in
       let d = Cluster.create_file ws "/walk" in
@@ -200,15 +209,18 @@ let cold_read_spans ~traced () =
       ignore (Fa.crash (Cluster.file_agent ws));
       let d = Cluster.open_file ws "/walk" in
       let tracer = Cluster.tracer t in
-      let collector = if traced then Some (Trace.collect tracer) else None in
-      let got = Cluster.pread ws d ~off:0 ~len:(64 * 1024) in
+      let collector =
+        if watchers = Nobody then None else Some (Trace.collect tracer)
+      in
+      let read () = Cluster.pread ws d ~off:0 ~len:(64 * 1024) in
+      let got = if all then fst (Profiler.profile sim read) else read () in
       Option.iter (Trace.stop tracer) collector;
       if not (Bytes.equal got payload) then failwith "trace: cold read corrupt";
       Cluster.close ws d;
       let spans =
         match collector with Some c -> Trace.spans c | None -> []
       in
-      (spans, Sim.run_digest sim))
+      (spans, Sim.run_digest sim, sz))
 
 (* The E0 layering the paper's Fig. 1 promises: the client call goes
    agent -> RPC -> file service -> block service, and the cold 64 KiB
@@ -251,21 +263,30 @@ let check_layering spans =
 
 let trace_action tree check =
   Rhodos_util.Logging.setup_from_env ();
-  let spans, digest = cold_read_spans ~traced:true () in
+  let spans, digest, _ = cold_read_spans Spans in
   if check then begin
     check_layering spans;
-    let spans2, digest2 = cold_read_spans ~traced:true () in
-    let _, untraced_digest = cold_read_spans ~traced:false () in
-    if Export.chrome_json spans <> Export.chrome_json spans2 then
-      failwith "trace check: two traced runs exported different JSON";
-    if digest <> digest2 then
-      failwith "trace check: two traced runs diverged (digest)";
-    if digest <> untraced_digest then
-      failwith "trace check: tracing perturbed the simulation digest";
+    let spans2, digest2, _ = cold_read_spans Spans in
+    let _, untraced_digest, _ = cold_read_spans Nobody in
+    let spans3, digest3, sz = cold_read_spans All_readers in
+    let sz = Option.get sz in
+    let expect cond msg = if not cond then failwith ("trace check: " ^ msg) in
+    let json = Export.chrome_json in
+    expect (json spans = json spans2) "two traced runs exported different JSON";
+    expect (digest = digest2) "two traced runs diverged (digest)";
+    expect (digest = untraced_digest) "tracing perturbed the simulation digest";
+    expect (json spans = json spans3) "spans changed with every reader attached";
+    expect (digest = digest3) "attaching every reader perturbed the digest";
+    expect (Sanitizer.events_seen sz > 0) "the sanitizer saw no monitor events";
+    List.iter
+      (fun v -> Printf.printf "sanitizer: [%s] %s\n" v.Sanitizer.v_kind v.v_detail)
+      (Sanitizer.violations sz);
+    expect (Sanitizer.violations sz = []) "the sanitizer reported";
     Printf.printf
       "trace check passed: %d spans, 2 disk references, deterministic export, \
-       digest unchanged by tracing\n"
-      (List.length spans)
+       digest unchanged by tracing and by span collector + sanitizer (%d \
+       monitor events, no reports) + profiler together\n"
+      (List.length spans) (Sanitizer.events_seen sz)
   end
   else if tree then begin
     print_string (Export.span_tree spans);
@@ -276,8 +297,6 @@ let trace_action tree check =
 (* ------------------------------------------------------------------ *)
 (* profile / top: host-time and allocation self-profiling              *)
 (* ------------------------------------------------------------------ *)
-
-module Profiler = Rhodos_obs.Profiler
 
 (* The standard profiling workload — the P0/E15 shape: a cold 512 KiB
    sequential scan in 8 KiB reads through the whole stack, with the

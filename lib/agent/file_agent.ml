@@ -64,7 +64,7 @@ type t = {
   mutable next_desc : desc;
   counters : Counter.t;
   name_counters : Counter.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
 }
 
 (* Read / mutate a tracking table through its cell; [mut] runs the
@@ -158,10 +158,11 @@ let writeback_batch ~sizes ~counters ~conn entries =
       List.iter (flush_run ~sizes ~counters ~conn file) (runs [] [] blocks))
     (List.rev !files)
 
-let create ?(config = default_config) ?tracer ~sim
+let create ?(config = default_config) ~sim
     ~(conn : Service_conn.fs_conn) () =
   let sizes = Hashtbl.create 16 in
   let counters = Counter.create () in
+  let tracer = Trace.of_sim sim in
   let prefetched =
     Sim.Cell.create ~role:Sim.Sync ~name:"file_agent:prefetched" sim
       (Hashtbl.create 16)

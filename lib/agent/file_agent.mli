@@ -55,13 +55,13 @@ val block_size : int
 
 val create :
   ?config:config ->
-  ?tracer:Rhodos_obs.Trace.t ->
   sim:Rhodos_sim.Sim.t ->
   conn:Service_conn.fs_conn ->
   unit ->
   t
-(** [tracer] wraps open/create and the data-path operations in
-    ["file_agent"] spans; free when no subscriber is attached. *)
+(** Open/create and the data-path operations run in ["file_agent"]
+    spans on the world's tracer ([Rhodos_obs.Trace.of_sim]); free when
+    no subscriber is attached. *)
 
 (** {1 The paper's file operations} *)
 
@@ -140,7 +140,7 @@ val cache_stats : t -> Rhodos_util.Stats.Counter.t
 
 val buffer_pool : t -> (int * int) Rhodos_cache.Buffer_cache.t
 (** The agent's block pool, keyed by (file, block index) — exposed so
-    the sanitizer can attach the cache protocol monitor
-    ([Buffer_cache.set_monitor]). *)
+    the sanitizer can subscribe to the cache's protocol events
+    ([Buffer_cache.events]). *)
 
 val name_cache_stats : t -> Rhodos_util.Stats.Counter.t

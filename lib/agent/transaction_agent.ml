@@ -30,10 +30,10 @@ type t = {
   mutable agent_pid : Sim.pid option;
   agent_exit : Sim.Condition.cond;
   mutable spawn_count : int;
-  tracer : Trace.t option;
+  tracer : Trace.t;
 }
 
-let create ?(on_commit = fun ~file:_ -> ()) ?tracer ~sim ~fs_conn ~txn_conn () =
+let create ?(on_commit = fun ~file:_ -> ()) ~sim ~fs_conn ~txn_conn () =
   {
     sim;
     fs_conn;
@@ -45,7 +45,7 @@ let create ?(on_commit = fun ~file:_ -> ()) ?tracer ~sim ~fs_conn ~txn_conn () =
     agent_pid = None;
     agent_exit = Sim.Condition.create sim;
     spawn_count = 0;
-    tracer;
+    tracer = Trace.of_sim sim;
   }
 
 let is_running t =

@@ -30,7 +30,6 @@ exception Bad_transaction of int
 
 val create :
   ?on_commit:(file:int -> unit) ->
-  ?tracer:Rhodos_obs.Trace.t ->
   sim:Rhodos_sim.Sim.t ->
   fs_conn:Service_conn.fs_conn ->
   txn_conn:Service_conn.txn_conn ->
@@ -39,7 +38,9 @@ val create :
 (** [on_commit] is invoked after a successful [tend], once per file
     the transaction touched — the facade wires it to
     [File_agent.invalidate_file] so the machine's basic-file cache
-    does not serve pre-transaction data. *)
+    does not serve pre-transaction data. The transaction operations
+    run in ["txn_agent"] spans on the world's tracer
+    ([Rhodos_obs.Trace.of_sim]). *)
 
 val is_running : t -> bool
 (** Whether the agent process currently exists. *)

@@ -4,46 +4,37 @@ module Counter = Rhodos_util.Stats.Counter
 type t = {
   lm : Lm.t;
   counters : Counter.t;
-  mutable last_cycle : int list option;
-  mutable token : Rhodos_obs.Event_bus.token option;
+  last_cycle : int list option ref;
+  token : Rhodos_util.Event_bus.token;
 }
 
-let classify_suspect t txn =
-  Counter.incr t.counters "suspects";
-  let graph = Waits_for.of_edges (Lm.waits_for_edges t.lm) in
+let classify_suspect lm counters last_cycle txn =
+  Counter.incr counters "suspects";
+  let graph = Waits_for.of_edges (Lm.waits_for_edges lm) in
   match Waits_for.cycle_through graph txn with
   | Some cycle ->
-    t.last_cycle <- Some cycle;
-    Counter.incr t.counters "true_deadlocks"
-  | None -> Counter.incr t.counters "false_aborts"
+    last_cycle := Some cycle;
+    Counter.incr counters "true_deadlocks"
+  | None -> Counter.incr counters "false_aborts"
 
 let attach lm =
-  let t = { lm; counters = Counter.create (); last_cycle = None; token = None } in
+  let counters = Counter.create () and last_cycle = ref None in
   let token =
     Lm.subscribe lm (function
-      | Lm.Ev_blocked _ -> Counter.incr t.counters "blocks_observed"
-      | Lm.Ev_granted _ -> Counter.incr t.counters "grants_observed"
-      | Lm.Ev_cancelled _ -> Counter.incr t.counters "cancels_observed"
+      | Lm.Ev_blocked _ -> Counter.incr counters "blocks_observed"
+      | Lm.Ev_granted _ -> Counter.incr counters "grants_observed"
+      | Lm.Ev_cancelled _ -> Counter.incr counters "cancels_observed"
       | Lm.Ev_released _ -> ()
-      | Lm.Ev_suspected { txn } -> classify_suspect t txn)
+      | Lm.Ev_suspected { txn } -> classify_suspect lm counters last_cycle txn)
   in
-  t.token <- Some token;
-  t
+  { lm; counters; last_cycle; token }
 
-let detach t =
-  match t.token with
-  | Some token ->
-    Lm.unsubscribe t.lm token;
-    t.token <- None
-  | None -> ()
+(* Idempotent: unsubscribing a removed token is a no-op. *)
+let detach t = Lm.unsubscribe t.lm t.token
 
 let stats t = t.counters
 
-let last_cycle t = t.last_cycle
-
-let snapshot t = Waits_for.of_edges (Lm.waits_for_edges t.lm)
-
-let check_now t = Waits_for.find_cycle (snapshot t)
+let last_cycle t = !(t.last_cycle)
 
 let true_deadlocks t = Counter.get t.counters "true_deadlocks"
 

@@ -13,20 +13,13 @@ type t
 
 val attach : Rhodos_txn.Lock_manager.t -> t
 (** Subscribe the detector to the lock manager's event bus. Other
-    subscribers (e.g. a request tracer) are unaffected — the detector
+    subscribers (e.g. the sanitizer) are unaffected — the detector
     holds its own unsubscribe token. The lock manager's behaviour is
     unchanged: the detector only observes. *)
 
 val detach : t -> unit
 (** Unsubscribe this detector (idempotent); other subscribers keep
     receiving events. *)
-
-val snapshot : t -> Waits_for.t
-(** The current waits-for graph. *)
-
-val check_now : t -> int list option
-(** Any cycle in the current graph (an on-demand deadlock check,
-    independent of the timeout scheme). *)
 
 val last_cycle : t -> int list option
 (** The cycle found by the most recent true-deadlock

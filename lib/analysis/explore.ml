@@ -107,7 +107,6 @@ type invariant = { inv_name : string; inv_check : unit -> string option }
 
 type world = {
   invariants : invariant list;
-  tracer : Trace.t option;
   sanitizer : Sanitizer.t option;
   observe : unit -> string;
 }
@@ -135,13 +134,11 @@ let run_scenario_strat ~record ~scheduler sc =
   let world = ref None in
   let collected = ref None in
   let setup sim =
-    let w = sc.sc_setup sim in
     if record then begin
-      match w.tracer with
-      | Some tr -> collected := Some (tr, Trace.collect tr)
-      | None -> ()
+      let tr = Trace.of_sim sim in
+      collected := Some (tr, Trace.collect tr)
     end;
-    world := Some w
+    world := Some (sc.sc_setup sim)
   in
   let observe _sim = match !world with Some w -> w.observe () | None -> "" in
   let r = exec ?until:sc.sc_until ~scheduler ~record ~setup ~observe () in
@@ -150,8 +147,8 @@ let run_scenario_strat ~record ~scheduler sc =
     match !collected with
     | Some (tr, c) ->
       Trace.stop tr c;
-      Some (Trace.spans c)
-    | None -> None
+      Trace.spans c
+    | None -> []
   in
   let violations =
     List.filter_map
@@ -354,11 +351,10 @@ let render_interleaving r spans =
   List.iter
     (fun (t, who) -> Printf.bprintf buf "  %10.3f ms  %s\n" t who)
     r.trace;
-  (match spans with
-  | Some (_ :: _ as sp) ->
+  if spans <> [] then begin
     Buffer.add_string buf "span tree:\n";
-    Buffer.add_string buf (Export.span_tree sp)
-  | Some [] | None -> ());
+    Buffer.add_string buf (Export.span_tree spans)
+  end;
   Buffer.contents buf
 
 let replay sc schedule =

@@ -84,9 +84,6 @@ type invariant = {
 
 type world = {
   invariants : invariant list;
-  tracer : Rhodos_obs.Trace.t option;
-      (** when present, {!replay} collects its spans and renders the
-          causal tree alongside the interleaving *)
   sanitizer : Sanitizer.t option;
       (** when present, its violations are evaluated after the run
           drains, as pseudo-invariants named ["sanitizer:<kind>"] — so
@@ -148,8 +145,8 @@ val explore : ?bounds:bounds -> scenario -> report
 val replay : scenario -> int list -> run * (string * string) list * string
 (** Deterministically re-execute a schedule with recording on. The
     third component is the pretty-printed interleaving (dispatch
-    trace, choice points marked), followed by the span tree when the
-    scenario installs a tracer. *)
+    trace, choice points marked), followed by the span tree of the
+    world's tracer when the scenario's components opened any span. *)
 
 (** {2 Crash-point sweep} *)
 

@@ -2,6 +2,7 @@ module Sim = Rhodos_sim.Sim
 module Trace = Rhodos_obs.Trace
 module Lm = Rhodos_txn.Lock_manager
 module Cache = Rhodos_cache.Buffer_cache
+module Event_bus = Rhodos_util.Event_bus
 
 type access = {
   acc_time : float;
@@ -32,7 +33,7 @@ type cell_state = {
 
 type t = {
   sim : Sim.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
   clocks : (int, Vclock.t) Hashtbl.t;  (* per-process vector clock *)
   msgs : (int * int, Vclock.t) Hashtbl.t;  (* (mailbox, msg) -> sender clock *)
   ivars : (int, Vclock.t) Hashtbl.t;
@@ -132,12 +133,7 @@ let on_data_access t ~proc ~cell ~write =
       acc_clock = clock_of t proc;
       acc_locks = lockset_of t proc;
       acc_span =
-        (match t.tracer with
-        | Some tr -> (
-          match Trace.current tr with
-          | Some c -> Some (Trace.context_ids c)
-          | None -> None)
-        | None -> None);
+        Option.map Trace.context_ids (Trace.current t.tracer);
     }
   in
   t.accs <- acc :: t.accs;
@@ -363,11 +359,11 @@ let lock_event t ~grants (ev : Lm.event) =
     Hashtbl.replace t.released_txns txn ()
   | Ev_cancelled _ | Ev_suspected _ -> ()
 
-let create ?tracer sim =
+let create sim =
   let t =
     {
       sim;
-      tracer;
+      tracer = Trace.of_sim sim;
       clocks = Hashtbl.create 32;
       msgs = Hashtbl.create 64;
       ivars = Hashtbl.create 32;
@@ -386,7 +382,9 @@ let create ?tracer sim =
       n_events = 0;
     }
   in
-  Sim.set_monitor sim (Some (handle t));
+  let mon = Sim.monitor sim in
+  let token = Event_bus.subscribe mon (handle t) in
+  t.detachers <- [ (fun () -> Event_bus.unsubscribe mon token) ];
   t
 
 let attach_lock_manager t lm =
@@ -396,18 +394,19 @@ let attach_lock_manager t lm =
   t.detachers <- (fun () -> Lm.unsubscribe lm token) :: t.detachers
 
 let attach_cache t ~name ~key_to_string cache =
-  Cache.set_monitor cache
-    (Some
-       (fun (Cache.Use_after_evict k) ->
-         report t
-           ~dedup:(Printf.sprintf "cache:%s:%s" name (key_to_string k))
-           "use-after-evict"
-           (Printf.sprintf
-              "cache %s: batch writeback persisted buffer %s after it was \
-               evicted or replaced mid-batch (stale snapshot can clobber \
-               newer durable bytes)"
-              name (key_to_string k))));
-  t.detachers <- (fun () -> Cache.set_monitor cache None) :: t.detachers
+  let bus = Cache.events cache in
+  let token =
+    Event_bus.subscribe bus (fun (Cache.Use_after_evict k) ->
+        report t
+          ~dedup:(Printf.sprintf "cache:%s:%s" name (key_to_string k))
+          "use-after-evict"
+          (Printf.sprintf
+             "cache %s: batch writeback persisted buffer %s after it was \
+              evicted or replaced mid-batch (stale snapshot can clobber \
+              newer durable bytes)"
+             name (key_to_string k)))
+  in
+  t.detachers <- (fun () -> Event_bus.unsubscribe bus token) :: t.detachers
 
 let feed_lock_event t ev = lock_event t ~grants:(fun () -> own_grants t) ev
 
@@ -418,6 +417,5 @@ let events_seen t = t.n_events
 let accesses t = List.rev t.accs
 
 let detach t =
-  Sim.set_monitor t.sim None;
   List.iter (fun f -> f ()) t.detachers;
   t.detachers <- []

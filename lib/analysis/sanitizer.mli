@@ -1,7 +1,8 @@
 (** Race and protocol sanitizers over the deterministic simulator.
 
-    An always-available dynamic-analysis layer: [create] installs the
-    [Sim] monitor and from then on every cross-process interaction —
+    An always-available dynamic-analysis layer: [create] subscribes to
+    the world's monitor bus ({!Rhodos_sim.Sim.monitor}) and from then
+    on every cross-process interaction —
     spawn, wakeup, mailbox send/receive, ivar fill/read, semaphore
     acquire/release, instrumented {!Rhodos_sim.Sim.Cell} access — feeds
     two passes plus a set of protocol monitors:
@@ -31,8 +32,9 @@
     Violations deduplicate per (object, kind): a racy cell hammered in
     a loop yields one report, not thousands. Emission never schedules
     simulator events, so an attached sanitizer leaves [Sim.run_digest]
-    unchanged — and with no sanitizer attached the instrumentation is a
-    single [None] match per touch point. *)
+    unchanged — and with no reader on the monitor bus the
+    instrumentation is a single [has_subscribers] test per touch point.
+    Other readers can watch the same run; none evicts another. *)
 
 type access = {
   acc_time : float;
@@ -47,9 +49,9 @@ type access = {
       (** items held (via bound transactions) at the access, as
           {!Rhodos_txn.Lock_manager.item_to_string}; sorted *)
   acc_span : (int * int) option;
-      (** (trace id, span id) of the enclosing span, when a tracer was
-          given and a span was open — ties the report to the obs
-          timeline *)
+      (** (trace id, span id) of the enclosing span, when the world's
+          tracer ({!Rhodos_obs.Trace.of_sim}) has a subscriber and a
+          span was open — ties the report to the obs timeline *)
 }
 (** One recorded access to a [Data]-role cell. *)
 
@@ -60,11 +62,10 @@ type violation = { v_kind : string; v_detail : string; v_time : float }
 
 type t
 
-val create : ?tracer:Rhodos_obs.Trace.t -> Rhodos_sim.Sim.t -> t
-(** Install the sanitizer as the world's [Sim] monitor. Create it
-    before the structures it should observe, so cells register their
-    names. At most one sanitizer per world (it owns the monitor
-    slot). *)
+val create : Rhodos_sim.Sim.t -> t
+(** Subscribe a sanitizer to the world's monitor bus. Create it before
+    the structures it should observe, so cells register their names.
+    It shares the bus with any other reader. *)
 
 val attach_lock_manager : t -> Rhodos_txn.Lock_manager.t -> unit
 (** Subscribe to the lock manager: grants/releases become
@@ -82,7 +83,8 @@ val attach_cache :
   key_to_string:('k -> string) ->
   'k Rhodos_cache.Buffer_cache.t ->
   unit
-(** Arm the buffer-cache protocol monitor: a batch writeback entry
+(** Subscribe to the cache's protocol events
+    ({!Rhodos_cache.Buffer_cache.events}): a batch writeback entry
     persisting a buffer that was evicted or replaced mid-batch reports
     ["use-after-evict"]. *)
 
@@ -107,5 +109,6 @@ val events_seen : t -> int
     dispatch count; it is not part of any violation logic. *)
 
 val detach : t -> unit
-(** Clear the [Sim] monitor and every subscription made by the
-    attach functions. Recorded violations and accesses survive. *)
+(** Unsubscribe from the monitor bus and from every stream the attach
+    functions subscribed to; other readers stay attached. Recorded
+    violations and accesses survive. *)

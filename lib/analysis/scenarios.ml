@@ -4,7 +4,6 @@ module Fa = Rhodos_agent.File_agent
 module Sc = Rhodos_agent.Service_conn
 module Cache = Rhodos_cache.Buffer_cache
 module Fit = Rhodos_file.Fit
-module Trace = Rhodos_obs.Trace
 
 type deadlock_outcome = {
   true_deadlocks : int;
@@ -229,9 +228,8 @@ let agent_read_write_race () =
         read_ahead_blocks = 4;
       }
     in
-    let tracer = Trace.create sim in
-    let sz = Sanitizer.create ~tracer sim in
-    let agent = Fa.create ~config:cfg ~tracer ~sim ~conn () in
+    let sz = Sanitizer.create sim in
+    let agent = Fa.create ~config:cfg ~sim ~conn () in
     Sanitizer.attach_cache sz ~name:"agent-pool"
       ~key_to_string:(fun (f, b) -> Printf.sprintf "%d.%d" f b)
       (Fa.buffer_pool agent);
@@ -275,7 +273,6 @@ let agent_read_write_race () =
           invariant "cache-coherence" (fun () -> !server_check);
           invariant "no-lost-update" (fun () -> !agent_check);
         ];
-      tracer = Some tracer;
       sanitizer = Some sz;
       observe =
         (fun () ->
@@ -361,7 +358,6 @@ let txn_lock_upgrade () =
               if v = 0 then None
               else Some (Printf.sprintf "%d 2PL violations" v));
         ];
-      tracer = None;
       sanitizer = Some sz;
       observe =
         (fun () ->
@@ -479,7 +475,6 @@ let cache_midbatch_crash () =
                      (String.concat ","
                         (List.map string_of_int ks))))
         ];
-      tracer = None;
       sanitizer = Some sz;
       observe =
         (fun () ->
@@ -547,7 +542,6 @@ let lost_update_model ~fixed () =
                   (Printf.sprintf "server still has %S after the flush"
                      !server));
         ];
-      tracer = None;
       sanitizer = None;
       observe =
         (fun () ->
@@ -609,7 +603,6 @@ let seeded_race_model ~locked () =
            ]
          else [])
       ;
-      tracer = None;
       sanitizer = Some sz;
       observe = (fun () -> Printf.sprintf "counter=%d" (Sim.Cell.peek counter));
     }

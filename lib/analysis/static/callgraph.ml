@@ -126,9 +126,11 @@ let callee_of_expr env ~defined e =
 
 (* Arguments of these run in a fresh process or a deferred callback,
    not on the caller's path: their blocking behaviour must not be
-   attributed to the spawning function. *)
+   attributed to the spawning function. [Net.Rpc.serve] belongs here
+   because it spawns its handler once per request. *)
 let spawn_like =
-  [ "Sim.spawn"; "Sim.spawn_at"; "Sim.schedule"; "Sim.schedule_cancellable" ]
+  [ "Sim.spawn"; "Sim.spawn_at"; "Sim.schedule"; "Sim.schedule_cancellable";
+    "Net.Rpc.serve" ]
 
 (* ------------------------------------------------------------------ *)
 (* Call extraction                                                     *)

@@ -7,7 +7,8 @@
     Edges are resolved call sites plus bare function references
     (a function handed to [List.iter] or [Fun.protect ~finally] runs
     on the caller's path); the closure arguments of [Sim.spawn] /
-    [Sim.schedule] are excluded — they run in another process. *)
+    [Sim.schedule] / [Net.Rpc.serve] are excluded — they run in
+    another process. *)
 
 type node = {
   fn : string;  (** canonical dotted name, unique (suffixed on clash) *)

@@ -172,6 +172,8 @@ type ctx = {
       (* node -> (is_write, path spec, is_update) *)
   fdecls : (string, string list ref) Hashtbl.t;
       (* field name -> modules declaring a record field of that name *)
+  immutable_decls : (string, unit) Hashtbl.t;
+      (* "Mod.name" with an immutable record field of that name *)
   parents : (string, string) Hashtbl.t;
       (* closure unit -> the unit whose scan created it *)
   callers : (string, int) Hashtbl.t;
@@ -208,8 +210,14 @@ let field_module ctx ~m ~hint n =
     if List.mem m decls then Some m
     else (match decls with [ m0 ] -> Some m0 | _ -> None)
 
+(* Seen from another module, a field name its module declares both
+   mutable and immutable is a snapshot read: the live record stays
+   abstract ([Disk.t] beside [Disk.stats]). Resolve it to nothing, like
+   any other ambiguous cross-module access. *)
 let resolve_field ctx ~m ~hint n =
   match field_module ctx ~m ~hint n with
+  | Some md when md <> m && Hashtbl.mem ctx.immutable_decls (md ^ "." ^ n) ->
+    None
   | Some md ->
     let id = "field:" ^ md ^ "." ^ n in
     if Hashtbl.mem ctx.inv id then Some id else None
@@ -297,7 +305,10 @@ let inventory_types ctx (f : Source.file) items =
                     register ctx
                       ("field:" ^ m ^ "." ^ ld.pld_name.txt)
                       Field ~role:Unknown ~cell_name:None ~file
-                      ~line:(line_of ld.pld_loc))
+                      ~line:(line_of ld.pld_loc)
+                  else
+                    Hashtbl.replace ctx.immutable_decls
+                      (m ^ "." ^ ld.pld_name.txt) ())
                 labels
             | _ -> ())
           tds
@@ -971,7 +982,8 @@ let adj entry released =
 let run graph mb (lock : Lockpass.result) =
   let ctx =
     { graph; lock; inv = Hashtbl.create 128; wrappers = Hashtbl.create 16;
-      fdecls = Hashtbl.create 128; parents = Hashtbl.create 32;
+      fdecls = Hashtbl.create 128; immutable_decls = Hashtbl.create 128;
+      parents = Hashtbl.create 32;
       callers = Hashtbl.create 128; units = Hashtbl.create 256; roots = [];
       root_seen = SS.empty; pending = [] }
   in

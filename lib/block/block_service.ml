@@ -41,7 +41,7 @@ type t = {
   sim : Sim.t;
   disk : Disk.t;
   stable : Stable.t option;
-  tracer : Trace.t option;
+  tracer : Trace.t;
   config : config;
   sectors_per_fragment : int;
   total_fragments : int;
@@ -73,7 +73,7 @@ let superblock_magic = 0x524B4C42l (* "BLKR" *)
 
 let bits_per_fragment = fragment_bytes * 8
 
-let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable () =
+let create ?(name = "blocksrv") ?(config = default_config) ~disk ?stable () =
   let g = Disk.geometry disk in
   if fragment_bytes mod g.sector_bytes <> 0 then
     invalid_arg "Block_service: sector size must divide the fragment size";
@@ -95,7 +95,7 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
     sim;
     disk;
     stable;
-    tracer;
+    tracer = Trace.of_sim sim;
     config;
     sectors_per_fragment;
     total_fragments;

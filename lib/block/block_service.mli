@@ -75,7 +75,6 @@ val default_config : config
 val create :
   ?name:string ->
   ?config:config ->
-  ?tracer:Rhodos_obs.Trace.t ->
   disk:Rhodos_disk.Disk.t ->
   ?stable:Rhodos_disk.Disk.t * Rhodos_disk.Disk.t ->
   unit ->
@@ -84,9 +83,9 @@ val create :
     every fragment address also has a stable-storage slot (full
     mirror), enabling [Stable_only] / [Original_and_stable] writes and
     crash-proof metadata. Call [format] (new disk) or [attach]
-    (existing disk) before anything else. [tracer] wraps [get_block] /
-    [put_block] in ["block_service"] spans; free when no subscriber is
-    attached. *)
+    (existing disk) before anything else. [get_block] / [put_block]
+    run in ["block_service"] spans on the world's tracer
+    ([Rhodos_obs.Trace.of_sim]); free when no subscriber is attached. *)
 
 val format : t -> unit
 (** Initialise the on-disk structures: superblock, empty bitmap with

@@ -1,5 +1,6 @@
 module Sim = Rhodos_sim.Sim
 module Counter = Rhodos_util.Stats.Counter
+module Event_bus = Rhodos_util.Event_bus
 
 type policy =
   | Write_through
@@ -33,10 +34,10 @@ type 'k t = {
   mutable lru_clock : int;
   counters : Counter.t;
   mutable flusher : Sim.pid option;
-  mutable monitor : ('k event -> unit) option;
+  events : 'k event Event_bus.t;
 }
 
-let set_monitor t f = t.monitor <- f
+let events t = t.events
 
 (* Read / mutate the pool through its cell so the sanitizer observes
    the accesses; [mut] runs an in-place mutation under an [update] so
@@ -83,9 +84,9 @@ let write_out t dirty =
                  pool's buffer for this key (invalidated or replaced
                  mid-batch): the bytes going out can clobber newer
                  durable state — report it. *)
-              (match t.monitor with
-              | Some f when not (still_pooled t k b) -> f (Use_after_evict k)
-              | Some _ | None -> ());
+              if Event_bus.has_subscribers t.events
+                 && not (still_pooled t k b)
+              then Event_bus.publish t.events (Use_after_evict k);
               if b.dirty && b.data == snapshot then b.dirty <- false ))
         entries
     in
@@ -143,7 +144,7 @@ let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
       lru_clock = 0;
       counters = Counter.create ();
       flusher = None;
-      monitor = None;
+      events = Event_bus.create ();
     }
   in
   (match policy with

@@ -118,9 +118,10 @@ val stats : 'k t -> Rhodos_util.Stats.Counter.t
 
 (** {2 Protocol monitor}
 
-    Hook for the sanitizer ([Rhodos_analysis.Sanitizer]): emitted
-    synchronously from inside cache operations; the callback must not
-    block. No-op when unset. *)
+    Event stream for the sanitizer ([Rhodos_analysis.Sanitizer]) and
+    any other reader: published synchronously from inside cache
+    operations, so a subscriber must not block. Nothing is built while
+    nobody subscribes. *)
 
 type 'k event =
   | Use_after_evict of 'k
@@ -129,4 +130,4 @@ type 'k event =
           or replaced mid-batch): the snapshot about to be persisted
           can clobber newer durable bytes *)
 
-val set_monitor : 'k t -> ('k event -> unit) option -> unit
+val events : 'k t -> 'k event Rhodos_util.Event_bus.t

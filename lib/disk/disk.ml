@@ -63,7 +63,7 @@ type stats = {
 type t = {
   name : string;
   sim : Sim.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
   geometry : geometry;
   image : bytes;
   faults : (int, unit) Hashtbl.t;
@@ -90,12 +90,12 @@ type t = {
 
 let capacity_sectors_of g = g.cylinders * g.heads * g.sectors_per_track
 
-let create ?(name = "disk") ?(scheduler = Fcfs) ?tracer sim geometry =
+let create ?(name = "disk") ?(scheduler = Fcfs) sim geometry =
   let sectors = capacity_sectors_of geometry in
   {
     name;
     sim;
-    tracer;
+    tracer = Trace.of_sim sim;
     geometry;
     image = Bytes.make (sectors * geometry.sector_bytes) '\000';
     faults = Hashtbl.create 16;

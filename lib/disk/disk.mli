@@ -48,13 +48,13 @@ exception Disk_failed of string
 val create :
   ?name:string ->
   ?scheduler:scheduler ->
-  ?tracer:Rhodos_obs.Trace.t ->
   Rhodos_sim.Sim.t ->
   geometry ->
   t
-(** [tracer] makes every physical reference emit a ["disk"] span
-    (covering queueing plus service time) under the caller's ambient
-    trace context; free when no subscriber is attached. *)
+(** Every physical reference emits a ["disk"] span (covering queueing
+    plus service time) on the world's tracer ([Rhodos_obs.Trace.of_sim])
+    under the caller's ambient trace context; free when no subscriber
+    is attached. *)
 
 val name : t -> string
 

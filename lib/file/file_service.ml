@@ -75,10 +75,10 @@ type t = {
   data_cache : (int * int) Cache.t; (* (disk index, fragment) -> 8 KiB block *)
   mutable rr_next : int;            (* round-robin cursor *)
   counters : Counter.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
 }
 
-let create ?(name = "filesrv") ?(config = default_config) ?tracer ~disks () =
+let create ?(name = "filesrv") ?(config = default_config) ~disks () =
   if Array.length disks = 0 then invalid_arg "File_service.create: no disks";
   let sim = Block.sim disks.(0) in
   let policy =
@@ -105,7 +105,7 @@ let create ?(name = "filesrv") ?(config = default_config) ?tracer ~disks () =
         ~policy ~writeback ();
     rr_next = 0;
     counters = Counter.create ();
-    tracer;
+    tracer = Trace.of_sim sim;
   }
 
 let name t = t.name

@@ -73,13 +73,13 @@ val default_config : config
 val create :
   ?name:string ->
   ?config:config ->
-  ?tracer:Rhodos_obs.Trace.t ->
   disks:Rhodos_block.Block_service.t array ->
   unit ->
   t
 (** A file service over one or more formatted/attached disk
-    services. [tracer] wraps [pread]/[pwrite] and cold FIT loads in
-    ["file_service"] spans; free when no subscriber is attached. *)
+    services. [pread]/[pwrite] and cold FIT loads run in
+    ["file_service"] spans on the world's tracer
+    ([Rhodos_obs.Trace.of_sim]); free when no subscriber is attached. *)
 
 val name : t -> string
 

@@ -19,11 +19,11 @@ type t = {
   mutable node_list : node list;
   mutable next_call_id : int;
   counters : Counter.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
 }
 
 let create ?(seed = 1) ?(latency_ms = 0.5) ?(bandwidth_bytes_per_ms = 1000.)
-    ?tracer sim =
+    sim =
   {
     sim;
     rng = Rng.create seed;
@@ -34,7 +34,7 @@ let create ?(seed = 1) ?(latency_ms = 0.5) ?(bandwidth_bytes_per_ms = 1000.)
     node_list = [];
     next_call_id = 0;
     counters = Counter.create ();
-    tracer;
+    tracer = Trace.of_sim sim;
   }
 
 let sim t = t.sim
@@ -218,7 +218,7 @@ module Rpc = struct
         let reply_to = endpoint t from in
         let env =
           { id; req; reply_to; resp_size = resp_size_bytes;
-            ctx = Trace.current_opt t.tracer;
+            ctx = Trace.current t.tracer;
             expires_at =
               Sim.now t.sim
               +. (float_of_int (max_retries + 1) *. timeout_ms)

@@ -21,14 +21,13 @@ val create :
   ?seed:int ->
   ?latency_ms:float ->
   ?bandwidth_bytes_per_ms:float ->
-  ?tracer:Rhodos_obs.Trace.t ->
   Rhodos_sim.Sim.t ->
   t
 (** Defaults: 0.5 ms latency (a 1994 LAN round trip is ~1 ms),
-    1000 bytes/ms (~ 8 Mbit/s effective). [tracer] wraps each
-    [Rpc.call] in a ["net"] span and carries the caller's trace
-    context to the server-side handler, so one request renders as one
-    causal tree across the hop. *)
+    1000 bytes/ms (~ 8 Mbit/s effective). Each [Rpc.call] runs in a
+    ["net"] span on the world's tracer ([Rhodos_obs.Trace.of_sim]),
+    and the caller's trace context rides to the server-side handler,
+    so one request renders as one causal tree across the hop. *)
 
 val sim : t -> Rhodos_sim.Sim.t
 

@@ -214,20 +214,3 @@ let latency_breakdown ?(title = "per-layer breakdown") spans =
           Printf.sprintf "%.3f" self ])
     (List.rev !order);
   Text_table.render t
-
-(* ------------------------------------------------------------------ *)
-(* Metrics dump                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_value v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.3f" v
-
-let render_metrics ?(title = "metrics") samples =
-  let t = Text_table.create ~title ~columns:[ "node"; "metric"; "value" ] in
-  List.iter
-    (fun { Metrics.node; name; value } ->
-      Text_table.add_row t [ node; name; metrics_value value ])
-    samples;
-  Text_table.render t

@@ -1,5 +1,5 @@
 (** Exporters: Chrome [trace_event] JSON, plain-text span trees and
-    per-layer latency breakdowns, and metrics dumps.
+    per-layer latency breakdowns.
 
     All functions render to strings — library code never prints
     (enforced by the lint's no-direct-print rule); [bin]/[bench]
@@ -31,6 +31,3 @@ val latency_breakdown : ?title:string -> Trace.span list -> string
 (** Per-service table of span count, total inclusive time and total
     self time (inclusive minus direct children), in order of first
     appearance — the EXPERIMENTS.md per-layer cost summary. *)
-
-val render_metrics : ?title:string -> Metrics.sample list -> string
-(** Aligned [node / metric / value] table for a {!Metrics.snapshot}. *)

@@ -14,6 +14,9 @@
    ids. Tracing only reads [Sim.now]; it never schedules events or
    blocks, so an attached subscriber cannot perturb the run digest.
 
+   One tracer per world ([of_sim]); services keep it in their records,
+   so the untraced path makes no lookup per call.
+
    Zero-cost when disabled: [with_span]/[maybe] first check
    [Event_bus.has_subscribers] and run the body directly when nobody is
    listening — no span allocation, no context write. *)
@@ -37,39 +40,30 @@ type event = Start of span | Finish of span
 
 type context = { ctx_trace : int; ctx_span : int }
 
-(* The process-local slot holds the context ids plus, when the span was
-   opened in this simulation (not restored from an RPC envelope), the
-   live span record so [annotate] can attach attributes to it. *)
-type scope = { ctx : context; scope_span : span option }
-
 type t = {
   sim : Sim.t;
   bus : event Event_bus.t;
-  key : scope Sim.Local.key;
+  key : context Sim.Local.key; (* the ambient context *)
   mutable next_trace : int;
   mutable next_span : int;
 }
 
+let world_key : t Sim.Local.key = Sim.Local.key ()
+
 let create sim =
   { sim; bus = Event_bus.create (); key = Sim.Local.key ();
     next_trace = 1; next_span = 1 }
+
+let of_sim sim = Sim.Local.world sim world_key create
 
 let sim t = t.sim
 let events t = t.bus
 let enabled t = Event_bus.has_subscribers t.bus
 
 let current t =
-  match Sim.Local.get t.sim t.key with
-  | Some s -> Some s.ctx
-  | None -> None
+  if enabled t then Sim.Local.get t.sim t.key else None
 
 let context_ids c = (c.ctx_trace, c.ctx_span)
-
-let annotate t attrs =
-  if enabled t then
-    match Sim.Local.get t.sim t.key with
-    | Some { scope_span = Some sp; _ } -> sp.attrs <- sp.attrs @ attrs
-    | _ -> ()
 
 let start ?parent t ~service ~op ~attrs () =
   let parent_ctx = match parent with Some _ -> parent | None -> current t in
@@ -100,9 +94,7 @@ let with_span ?parent ?(attrs = []) t ~service ~op f =
     let sp = start ?parent t ~service ~op ~attrs () in
     let saved = Sim.Local.get t.sim t.key in
     Sim.Local.set t.sim t.key
-      (Some
-         { ctx = { ctx_trace = sp.trace_id; ctx_span = sp.id };
-           scope_span = Some sp });
+      (Some { ctx_trace = sp.trace_id; ctx_span = sp.id });
     Fun.protect
       ~finally:(fun () ->
         Sim.Local.set t.sim t.key saved;
@@ -110,52 +102,42 @@ let with_span ?parent ?(attrs = []) t ~service ~op f =
       f
   end
 
-let maybe tracer ~service ~op ?attrs f =
-  match tracer with
-  | Some t when enabled t ->
+let maybe t ~service ~op ?attrs f =
+  if not (enabled t) then f ()
+  else
     let attrs = match attrs with None -> [] | Some g -> g () in
     with_span ~attrs t ~service ~op f
-  | _ -> f ()
 
 let with_restored t ctx f =
-  match (t, ctx) with
-  | Some t, Some ctx when enabled t ->
+  match ctx with
+  | Some ctx when enabled t ->
     let saved = Sim.Local.get t.sim t.key in
-    Sim.Local.set t.sim t.key (Some { ctx; scope_span = None });
+    Sim.Local.set t.sim t.key (Some ctx);
     Fun.protect
       ~finally:(fun () -> Sim.Local.set t.sim t.key saved)
       f
   | _ -> f ()
-
-let current_opt = function
-  | Some t when enabled t -> current t
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)
 (* ------------------------------------------------------------------ *)
 
 type collector = {
-  mutable finished : span list; (* newest-first *)
-  mutable token : Event_bus.token option;
+  finished : span list ref; (* newest-first *)
+  token : Event_bus.token;
 }
 
 let collect t =
-  let c = { finished = []; token = None } in
-  let tok =
+  let finished = ref [] in
+  let token =
     Event_bus.subscribe t.bus (function
-      | Finish sp -> c.finished <- sp :: c.finished
+      | Finish sp -> finished := sp :: !finished
       | Start _ -> ())
   in
-  c.token <- Some tok;
-  c
+  { finished; token }
 
-let stop t c =
-  match c.token with
-  | Some tok ->
-    Event_bus.unsubscribe t.bus tok;
-    c.token <- None
-  | None -> ()
+(* Idempotent: unsubscribing a removed token is a no-op. *)
+let stop t c = Event_bus.unsubscribe t.bus c.token
 
 let spans c =
-  List.sort (fun a b -> compare a.id b.id) (List.rev c.finished)
+  List.sort (fun a b -> compare a.id b.id) (List.rev !(c.finished))

@@ -10,6 +10,9 @@
     simulated network hop is explicit — capture {!current} into the
     message and re-install it with {!with_restored} on the far side.
 
+    A world has one tracer, {!of_sim}; every component reads it from
+    its own [Sim.t] at construction, so none takes a tracer argument.
+
     Tracing is zero-cost when no subscriber is attached to {!events}
     ({!with_span} runs the body directly), and it cannot perturb the
     determinism digest: it only reads [Sim.now], never schedules
@@ -43,7 +46,9 @@ type context
 type t
 (** A tracer bound to one simulation world. *)
 
-val create : Sim.t -> t
+val of_sim : Sim.t -> t
+(** The world's tracer, created on first use. Every call on the same
+    world returns the same tracer. *)
 
 val sim : t -> Sim.t
 
@@ -55,7 +60,8 @@ val enabled : t -> bool
 
 val current : t -> context option
 (** Context of the innermost span enclosing the calling process, if
-    any. *)
+    any; [None] when the tracer is not {!enabled}. Use to stamp
+    outgoing messages. *)
 
 val context_ids : context -> int * int
 (** [(trace id, span id)] — lets the sanitizer stamp each recorded
@@ -77,29 +83,20 @@ val with_span :
     [f ()]. *)
 
 val maybe :
-  t option ->
+  t ->
   service:string ->
   op:string ->
   ?attrs:(unit -> (string * value) list) ->
   (unit -> 'a) ->
   'a
-(** Convenience for instrumented services holding a [t option]:
-    [with_span] when a tracer is present and enabled, else just the
-    body. [attrs] is a thunk so attribute lists cost nothing when
-    tracing is off. *)
+(** Convenience for instrumented services: [with_span] when the tracer
+    is enabled, else just the body. [attrs] is a thunk so attribute
+    lists cost nothing when tracing is off. *)
 
-val annotate : t -> (string * value) list -> unit
-(** Append attributes to the innermost ambient span, if the calling
-    process is inside one that was opened locally. No-op otherwise. *)
-
-val current_opt : t option -> context option
-(** [current] through an optional tracer; [None] when absent or
-    disabled. Use to stamp outgoing messages. *)
-
-val with_restored : t option -> context option -> (unit -> 'a) -> 'a
+val with_restored : t -> context option -> (unit -> 'a) -> 'a
 (** Re-install a context captured on the other side of a hop for the
     duration of the callback (the RPC-server half of propagation).
-    Plain [f ()] when tracer or context is absent. *)
+    Plain [f ()] when the context is absent or the tracer disabled. *)
 
 (** {2 Collector}
 

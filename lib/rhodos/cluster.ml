@@ -183,7 +183,7 @@ type client = {
   c_devices : Device_agent.t;
   c_txn : Transaction_agent.t;
   c_fs_conn : Conn.fs_conn;
-  c_tracer : Trace.t;
+  c_sim : Sim.t;
 }
 
 type t = {
@@ -195,13 +195,12 @@ type t = {
   t_naming_file : Fs.file_id; (* on server 0 *)
   mutable t_rr : int;         (* round-robin cursor for creations *)
   mutable t_clients : client list;
-  t_tracer : Trace.t;
   t_metrics : Metrics.t;
 }
 
 let sim t = t.t_sim
 let net t = t.t_net
-let tracer t = t.t_tracer
+let tracer t = Trace.of_sim t.t_sim
 let metrics t = t.t_metrics
 let server_count t = Array.length t.t_servers
 let server_node t = t.t_servers.(0).s_node
@@ -308,7 +307,7 @@ let request_name = function
   | R_tabort _ -> "tabort"
 
 let naming_span t op path f =
-  Trace.maybe (Some t.t_tracer) ~service:"naming" ~op
+  Trace.maybe (tracer t) ~service:"naming" ~op
     ~attrs:(fun () -> [ ("path", Trace.Str path) ])
     f
 
@@ -567,11 +566,11 @@ let make_txn_conn t ~from : Conn.txn_conn =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let build_block_services ~cfg ~sidx ~tracer ~disks ~stable_disks =
+let build_block_services ~cfg ~sidx ~disks ~stable_disks =
   Array.mapi
     (fun i disk ->
       let stable = if cfg.with_stable then Some stable_disks.(i) else None in
-      Block.create ~name:(Printf.sprintf "bs%d-%d" sidx i) ~tracer ~disk
+      Block.create ~name:(Printf.sprintf "bs%d-%d" sidx i) ~disk
         ?stable ())
     disks
 
@@ -582,14 +581,14 @@ let fs_config cfg =
     data_policy = cfg.fs_data_policy;
   }
 
-let build_server ~cfg ~sim ~net ~tracer sidx =
+let build_server ~cfg ~sim ~net sidx =
   let node =
     Net.add_node net (if sidx = 0 then "server" else Printf.sprintf "server%d" sidx)
   in
   let geometry = Disk.geometry_with_capacity cfg.disk_capacity_bytes in
   let disks =
     Array.init cfg.ndisks (fun i ->
-        Disk.create ~name:(Printf.sprintf "d%d-%d" sidx i) ~tracer sim geometry)
+        Disk.create ~name:(Printf.sprintf "d%d-%d" sidx i) sim geometry)
   in
   let stable_geometry = Disk.geometry_with_capacity (cfg.disk_capacity_bytes * 2) in
   let stable_disks =
@@ -599,16 +598,16 @@ let build_server ~cfg ~sim ~net ~tracer sidx =
             Disk.create ~name:(Printf.sprintf "st%d-%db" sidx i) sim stable_geometry ))
     else [||]
   in
-  let bss = build_block_services ~cfg ~sidx ~tracer ~disks ~stable_disks in
+  let bss = build_block_services ~cfg ~sidx ~disks ~stable_disks in
   Array.iter Block.format bss;
-  let fs = Fs.create ~config:(fs_config cfg) ~tracer ~disks:bss () in
+  let fs = Fs.create ~config:(fs_config cfg) ~disks:bss () in
   (* The reserved namespace file must be the very first file created on
      server 0, so its id is deterministic across restarts. *)
   let naming_file = if sidx = 0 then Some (Fs.create_file fs) else None in
   let ts =
     Txn.create
       ~config:{ Txn.default_config with Txn.lock_config = cfg.lock_config }
-      ~tracer ~fs ()
+      ~fs ()
   in
   ( {
       s_index = sidx;
@@ -668,18 +667,17 @@ let register_server_metrics metrics server =
 let create ?(config = default_config) sim =
   let cfg = config in
   if cfg.nservers < 1 then invalid_arg "Cluster.create: nservers";
-  let tracer = Trace.create sim in
   let metrics = Metrics.create () in
   let net =
     Net.create ~seed:cfg.seed ~latency_ms:cfg.net_latency_ms
-      ~bandwidth_bytes_per_ms:cfg.net_bandwidth_bytes_per_ms ~tracer sim
+      ~bandwidth_bytes_per_ms:cfg.net_bandwidth_bytes_per_ms sim
   in
   Metrics.register_source metrics ~name:"net" (fun () ->
       Metrics.of_counter_table (Net.stats net) ());
   let naming_file = ref None in
   let servers =
     Array.init cfg.nservers (fun sidx ->
-        let server, nf = build_server ~cfg ~sim ~net ~tracer sidx in
+        let server, nf = build_server ~cfg ~sim ~net sidx in
         if sidx = 0 then naming_file := nf;
         register_server_metrics metrics server;
         server)
@@ -694,7 +692,6 @@ let create ?(config = default_config) sim =
       t_naming_file = Option.get !naming_file;
       t_rr = 0;
       t_clients = [];
-      t_tracer = tracer;
       t_metrics = metrics;
     }
   in
@@ -738,13 +735,13 @@ let add_client t ~name =
           max_fetch_blocks = t.cfg.client_max_fetch_blocks;
           read_ahead_blocks = t.cfg.client_read_ahead_blocks;
         }
-      ~tracer:t.t_tracer ~sim:t.t_sim ~conn:fs_conn ()
+      ~sim:t.t_sim ~conn:fs_conn ()
   in
   let devices = Device_agent.create t.t_sim in
   let txn_agent =
     Transaction_agent.create
       ~on_commit:(fun ~file -> File_agent.invalidate_file files ~file)
-      ~tracer:t.t_tracer ~sim:t.t_sim ~fs_conn ~txn_conn ()
+      ~sim:t.t_sim ~fs_conn ~txn_conn ()
   in
   Metrics.register_source t.t_metrics ~node:name ~name:"agent" (fun () ->
       Metrics.of_counter_table (File_agent.stats files) ());
@@ -762,7 +759,7 @@ let add_client t ~name =
       c_devices = devices;
       c_txn = txn_agent;
       c_fs_conn = fs_conn;
-      c_tracer = t.t_tracer;
+      c_sim = t.t_sim;
     }
   in
   t.t_clients <- client :: t.t_clients;
@@ -781,7 +778,7 @@ let fs_conn c = c.c_fs_conn
    net -> service -> block service -> disk. *)
 
 let client_span c op attrs f =
-  Trace.maybe (Some c.c_tracer) ~service:"client" ~op
+  Trace.maybe (Trace.of_sim c.c_sim) ~service:"client" ~op
     ~attrs:(fun () -> ("client", Trace.Str c.c_name) :: attrs ())
     f
 
@@ -882,16 +879,15 @@ let recover_server t =
     Array.map
       (fun server ->
         server.s_bss <-
-          build_block_services ~cfg:t.cfg ~sidx:server.s_index ~tracer:t.t_tracer
+          build_block_services ~cfg:t.cfg ~sidx:server.s_index
             ~disks:server.s_disks ~stable_disks:server.s_stable_disks;
         Array.iter Block.attach server.s_bss;
         server.s_fs <-
-          Fs.create ~config:(fs_config t.cfg) ~tracer:t.t_tracer
-            ~disks:server.s_bss ();
+          Fs.create ~config:(fs_config t.cfg) ~disks:server.s_bss ();
         let ts, report =
           Txn.recover_service
             ~config:{ Txn.default_config with Txn.lock_config = t.cfg.lock_config }
-            ~tracer:t.t_tracer ~fs:server.s_fs ~log_region:server.s_log_region ()
+            ~fs:server.s_fs ~log_region:server.s_log_region ()
         in
         server.s_ts <- ts;
         report)

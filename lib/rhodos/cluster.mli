@@ -65,11 +65,12 @@ val sim : t -> Rhodos_sim.Sim.t
 val net : t -> Rhodos_net.Net.t
 
 val tracer : t -> Rhodos_obs.Trace.t
-(** The cluster-wide span tracer. Every layer (agents, RPC, services,
-    block services, disks) is wired to it; attach a subscriber — e.g.
-    [Rhodos_obs.Trace.collect] — to record spans. With no subscriber
-    tracing costs nothing and the simulation is bit-identical to an
-    untraced run. *)
+(** The world's span tracer, [Rhodos_obs.Trace.of_sim (sim t)]. Every
+    layer (agents, RPC, services, block services, every disk including
+    the stable-storage mirrors) reads it from its own simulation;
+    attach a subscriber — e.g. [Rhodos_obs.Trace.collect] — to record
+    spans. With no subscriber tracing costs nothing and the simulation
+    is bit-identical to an untraced run. *)
 
 val metrics : t -> Rhodos_obs.Metrics.t
 (** The unified metrics registry. Per-node sources for every disk,

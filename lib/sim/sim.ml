@@ -1,6 +1,7 @@
 open Effect
 open Effect.Deep
 module Prio_queue = Rhodos_util.Prio_queue
+module Event_bus = Rhodos_util.Event_bus
 
 exception Killed
 
@@ -26,11 +27,12 @@ type proc = {
 type pid = proc
 
 (* Monitor events: a synchronous feed of every causality-relevant
-   primitive operation, consumed by the race/protocol sanitizer
-   ([Rhodos_analysis.Sanitizer]). Emission never schedules events and
-   never blocks, so an attached monitor cannot perturb the run digest;
-   with no monitor attached every hook is a single match on [None] —
-   no allocation, no call. [proc = -1] means "outside any process"
+   primitive operation, published on the world's [monitor] bus to any
+   number of subscribers (the race/protocol sanitizer
+   [Rhodos_analysis.Sanitizer] is one). Emission never schedules events
+   and never blocks, so a subscriber cannot perturb the run digest;
+   with nobody subscribed every hook is one [has_subscribers] test —
+   the event is never built. [proc = -1] means "outside any process"
    (top-level setup code or a bare timer thunk). Mailbox messages,
    ivars, semaphores and cells carry per-world sequence numbers so the
    consumer can pair a [M_recv] with the exact [M_send] that produced
@@ -62,7 +64,8 @@ type mon_event =
    module); readings flow only into the probe's accumulators, never
    into simulated state, so an armed probe cannot perturb the run
    digest. With no probe installed each hook site is a single match on
-   [None]. *)
+   [None]. Why a single slot and not a bus subscriber: see "Profiler
+   hooks" in the .mli. *)
 type probe = {
   pr_clock : unit -> int;
       (** monotonic host nanoseconds, read at event creation and
@@ -133,8 +136,9 @@ type t = {
   mutable n_choices : int;
   mutable choice_rev : (int * int) list; (* (n_ready, chosen), newest first *)
   mutable dispatch_rev : (float * string) list; (* only when [record] *)
-  mutable monitor : (mon_event -> unit) option;
+  monitor : mon_event Event_bus.t;
   mutable probe : probe option;
+  mutable world_locals : binding list; (* [Local.world] bindings *)
   mutable next_obj : int; (* mailbox/ivar/semaphore/cell id allocator *)
   mutable pool : event array; (* recycled event records *)
   mutable pool_n : int;
@@ -161,12 +165,19 @@ let create ?(tie_break = Prio_queue.Fifo) ?(track = false) ?scheduler
     events = Prio_queue.create ~tie:tie_break (); top;
     failure = None; next_pid = 0; current = top; next_event_id = 0; digest = 0;
     dispatched = 0; track; procs = []; scheduler; record; n_choices = 0;
-    choice_rev = []; dispatch_rev = []; monitor = None; probe = None;
+    choice_rev = []; dispatch_rev = []; monitor = Event_bus.create ();
+    probe = None; world_locals = [];
     next_obj = 0; pool = [||]; pool_n = 0 }
 
 let now t = !(t.clock)
 
-let set_monitor t f = t.monitor <- f
+let monitor t = t.monitor
+
+(* Every monitor hook is [if watched t then emit t (M_... )]: the event
+   record is built only when someone listens. *)
+let[@inline] watched t = Event_bus.has_subscribers t.monitor
+
+let emit t ev = Event_bus.publish t.monitor ev
 
 let set_probe t p = t.probe <- p
 
@@ -257,9 +268,7 @@ let make_waker :
   else begin
     resumed := true;
     proc.state <- Ready;
-    (match t.monitor with
-    | Some f -> f (M_wake { by = cur_id t; target = proc.id })
-    | None -> ());
+    if watched t then emit t (M_wake { by = cur_id t; target = proc.id });
     (match t.probe with
     | Some p -> p.pr_wake ~target:proc.id ~name:proc.name
     | None -> ());
@@ -324,9 +333,8 @@ let spawn_at ?(name = "proc") t ~at f =
   in
   t.next_pid <- t.next_pid + 1;
   if t.track then t.procs <- proc :: t.procs;
-  (match t.monitor with
-  | Some f -> f (M_spawn { parent = cur_id t; child = proc.id; name })
-  | None -> ());
+  if watched t then
+    emit t (M_spawn { parent = cur_id t; child = proc.id; name });
   schedule_event ~origin:proc t ~at ~live:always_live (fun () ->
       if proc.state = Ready && not proc.kill_pending then begin
         let saved = t.current in
@@ -578,19 +586,16 @@ let kill t proc =
 
 let is_alive _t proc = proc.state <> Dead
 
-let in_process t = t.current != t.top
-
-let pid_name _t proc = Printf.sprintf "%s#%d" proc.name proc.id
-
 let current_proc_id = cur_id
 
 module Local = struct
   (* A key's identity is the private extensible-variant constructor
-     minted by [key ()] — the projection function recognises exactly
-     its own bindings, so no global counter is needed. *)
+     minted by [key ()] — [mine] recognises exactly its own bindings,
+     so no global counter is needed. *)
   type 'a key = {
     inj : 'a -> binding;
-    prj : binding -> 'a option;
+    mine : binding -> bool;
+    value : binding -> 'a; (* of a binding [mine] accepts *)
   }
 
   let key (type a) () : a key =
@@ -599,19 +604,32 @@ module Local = struct
     end in
     {
       inj = (fun v -> M.K v);
-      prj = (function M.K v -> Some v | _ -> None);
+      mine = (function M.K _ -> true | _ -> false);
+      value = (function M.K v -> v | _ -> invalid_arg "Sim.Local.value");
     }
 
   let get t k =
     let p = t.current in
-    if p == t.top then None else List.find_map k.prj p.locals
+    if p == t.top then None
+    else Option.map k.value (List.find_opt k.mine p.locals)
 
   let set t k v =
     let p = t.current in
     if p != t.top then begin
-      let rest = List.filter (fun b -> Option.is_none (k.prj b)) p.locals in
+      let rest = List.filter (fun b -> not (k.mine b)) p.locals in
       p.locals <- (match v with None -> rest | Some v -> k.inj v :: rest)
     end
+
+  (* No option and no local closure: a hit allocates nothing, so a
+     per-operation lookup is free. *)
+  let rec world_in t k init = function
+    | b :: rest -> if k.mine b then k.value b else world_in t k init rest
+    | [] ->
+      let v = init t in
+      t.world_locals <- k.inj v :: t.world_locals;
+      v
+
+  let world t k init = world_in t k init t.world_locals
 end
 
 (* ------------------------------------------------------------------ *)
@@ -671,17 +689,15 @@ module Mailbox = struct
   let send mb v =
     let msg = mb.next_msg in
     mb.next_msg <- msg + 1;
-    (match mb.sim.monitor with
-    | Some f -> f (M_send { proc = cur_id mb.sim; mailbox = mb.mbid; msg })
-    | None -> ());
+    if watched mb.sim then
+      emit mb.sim (M_send { proc = cur_id mb.sim; mailbox = mb.mbid; msg });
     deliver mb (msg, v) mb.waiters
 
   (* Runs in the receiving process (fast path or just-resumed), so
      [cur_id] attributes the receive correctly. *)
   let got mb (msg, v) =
-    (match mb.sim.monitor with
-    | Some f -> f (M_recv { proc = cur_id mb.sim; mailbox = mb.mbid; msg })
-    | None -> ());
+    if watched mb.sim then
+      emit mb.sim (M_recv { proc = cur_id mb.sim; mailbox = mb.mbid; msg });
     v
 
   let try_recv mb =
@@ -726,9 +742,8 @@ module Semaphore = struct
     { sim; sid = obj_id sim; count; waiters = [] }
 
   let acquired s =
-    match s.sim.monitor with
-    | Some f -> f (M_sem_acquire { proc = cur_id s.sim; sem = s.sid })
-    | None -> ()
+    if watched s.sim then
+      emit s.sim (M_sem_acquire { proc = cur_id s.sim; sem = s.sid })
 
   let acquire s =
     if s.count > 0 then begin
@@ -755,9 +770,8 @@ module Semaphore = struct
     | w :: rest -> if w () then s.waiters <- rest else wake_one s rest
 
   let release s =
-    (match s.sim.monitor with
-    | Some f -> f (M_sem_release { proc = cur_id s.sim; sem = s.sid })
-    | None -> ());
+    if watched s.sim then
+      emit s.sim (M_sem_release { proc = cur_id s.sim; sem = s.sid });
     wake_one s s.waiters
 
   let available s = s.count
@@ -817,10 +831,9 @@ module Ivar = struct
 
   let fill iv v =
     let double = is_filled iv in
-    (match iv.sim.monitor with
-    | Some f ->
-      f (M_ivar_fill { proc = cur_id iv.sim; ivar = iv.ivid; double })
-    | None -> ());
+    if watched iv.sim then
+      emit iv.sim
+        (M_ivar_fill { proc = cur_id iv.sim; ivar = iv.ivid; double });
     match iv.value with
     | Some _ -> invalid_arg "Sim.Ivar.fill: already filled"
     | None ->
@@ -836,21 +849,20 @@ module Ivar = struct
       | None ->
         suspend iv.sim (fun waker -> iv.waiters <- iv.waiters @ [ waker ])
     in
-    (match iv.sim.monitor with
-    | Some f -> f (M_ivar_read { proc = cur_id iv.sim; ivar = iv.ivid })
-    | None -> ());
+    if watched iv.sim then
+      emit iv.sim (M_ivar_read { proc = cur_id iv.sim; ivar = iv.ivid });
     v
 end
 
 (* Instrumented shared state: the unit of cross-process mutable state
    the sanitizer can see. A cell is just a mutable box whose reads and
-   writes emit monitor events; with no monitor attached each access is
-   one match on [None]. [Data] cells promise "every pair of accesses is
-   ordered by happens-before or guarded by a common lock" and are
-   race-checked pairwise; [Sync] cells are coordination state that is
-   lock-free by design in a cooperative simulator (lock tables, request
-   dedup maps, cache pools) — their accesses are counted but exempt
-   from pairwise reports, with protocol monitors covering them
+   writes emit monitor events; with no monitor subscriber each access
+   is one [has_subscribers] test. [Data] cells promise "every pair of
+   accesses is ordered by happens-before or guarded by a common lock"
+   and are race-checked pairwise; [Sync] cells are coordination state
+   that is lock-free by design in a cooperative simulator (lock tables,
+   request dedup maps, cache pools) — their accesses are counted but
+   exempt from pairwise reports, with protocol monitors covering them
    instead. *)
 module Cell = struct
   type 'a cell = {
@@ -866,34 +878,31 @@ module Cell = struct
     let cname =
       match name with Some n -> n | None -> Printf.sprintf "cell#%d" cid
     in
-    (match sim.monitor with
-    | Some f -> f (M_cell_created { cell = cid; name = cname; role })
-    | None -> ());
+    if watched sim then
+      emit sim (M_cell_created { cell = cid; name = cname; role });
     { sim; cid; cname; crole = role; v }
 
   let name c = c.cname
 
   let get c =
-    (match c.sim.monitor with
-    | Some f ->
-      f (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if watched c.sim then
+      emit c.sim
+        (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole });
     c.v
 
   let peek c = c.v
 
   let set c v =
-    (match c.sim.monitor with
-    | Some f ->
-      f (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if watched c.sim then
+      emit c.sim
+        (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole });
     c.v <- v
 
   let update c f =
-    (match c.sim.monitor with
-    | Some g ->
-      g (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole });
-      g (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if watched c.sim then begin
+      let proc = cur_id c.sim in
+      emit c.sim (M_cell_read { proc; cell = c.cid; role = c.crole });
+      emit c.sim (M_cell_write { proc; cell = c.cid; role = c.crole })
+    end;
     c.v <- f c.v
 end

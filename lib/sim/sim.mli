@@ -84,12 +84,6 @@ val kill : t -> pid -> unit
 
 val is_alive : t -> pid -> bool
 
-val in_process : t -> bool
-(** [true] while executing inside a [spawn]ed process (as opposed to a
-    bare [schedule] callback or top level). *)
-
-val pid_name : t -> pid -> string
-
 val current_proc_id : t -> int
 (** Id of the process currently executing, [-1] outside any process —
     the same attribution the monitor events carry. Lets a monitor
@@ -118,20 +112,25 @@ module Local : sig
   (** Bind ([Some]) or clear ([None]) the slot in the calling process.
       No-op outside a process. Does not affect already-spawned
       children. *)
+
+  val world : t -> 'a key -> (t -> 'a) -> 'a
+  (** [world t k init] is the world-scoped binding of [k], shared by
+      every process and created by [init t] on first use — how a
+      component finds the world's tracer. Independent of [get]/[set]. *)
 end
 
 (** {2 Monitor hooks}
 
-    A monitor is a synchronous callback fed every causality-relevant
+    The world's monitor is an event bus fed every causality-relevant
     primitive operation: spawns, cross-process wakeups, mailbox
     send/recv (with per-message sequence numbers so a receive pairs
     with the exact send that produced it under any schedule), ivar
     fill/read, semaphore acquire/release, and every {!Cell} access.
-    The race/protocol sanitizer ([Rhodos_analysis.Sanitizer]) is the
-    intended consumer. Emission never schedules events and never
-    blocks, so attaching a monitor cannot change the {!run_digest};
-    with no monitor attached each hook costs a single match on
-    [None] — no allocation, no call. *)
+    Any number of readers can subscribe; the race/protocol sanitizer
+    ([Rhodos_analysis.Sanitizer]) is one. Emission never schedules
+    events and never blocks, so a subscriber cannot change the
+    {!run_digest}; with nobody subscribed each hook costs one
+    [has_subscribers] test — the event is not built. *)
 
 type cell_role =
   | Data
@@ -164,9 +163,10 @@ type mon_event =
   | M_cell_read of { proc : int; cell : int; role : cell_role }
   | M_cell_write of { proc : int; cell : int; role : cell_role }
 
-val set_monitor : t -> (mon_event -> unit) option -> unit
-(** Install (or clear) the monitor. At most one monitor per world;
-    install it before creating the objects it should know by name. *)
+val monitor : t -> mon_event Rhodos_util.Event_bus.t
+(** The world's monitor feed. Subscribe before creating the objects a
+    reader should know by name ([M_cell_created] is only published
+    while someone listens); each reader detaches with its own token. *)
 
 (** {2 Profiler hooks}
 
@@ -180,7 +180,10 @@ val set_monitor : t -> (mon_event -> unit) option -> unit
     never into simulated state or the event queue, so an armed probe
     is digest-neutral; with no probe installed each hook site is a
     single match on [None] and the per-event [queued_host_ns] stamp is
-    the immediate [0] — no allocation, no clock read. *)
+    the immediate [0] — no allocation, no clock read. Unlike the
+    monitor, the probe is one slot, not a bus: it brackets every
+    dispatch with clock reads, and delivery through a bus would add to
+    the words per event the profiler itself measures. *)
 
 type probe = {
   pr_clock : unit -> int;
@@ -359,16 +362,16 @@ end
     processes touch (agent fetch bookkeeping, cache pools, lock
     tables) keeps it in cells instead of bare [ref]s/[Hashtbl]s — the
     [global-mutable-state] and [raw-shared-cell] lint rules enforce
-    the discipline. With no monitor attached an access costs one
-    match on [None]. *)
+    the discipline. With no monitor subscriber an access costs one
+    [has_subscribers] test. *)
 module Cell : sig
   type 'a cell
 
   val create : ?role:cell_role -> ?name:string -> t -> 'a -> 'a cell
   (** [role] defaults to [Data] (the checked discipline); pass
       [~role:Sync] for by-design lock-free coordination state. Create
-      cells after {!set_monitor} so the sanitizer learns their
-      names. *)
+      cells after subscribing to {!monitor} so the sanitizer learns
+      their names. *)
 
   val name : 'a cell -> string
 

@@ -103,7 +103,7 @@ type t = {
   released : (int, unit) Hashtbl.t Sim.Cell.cell;
       (* transactions past their shrink phase *)
   counters : Counter.t;
-  events : event Rhodos_obs.Event_bus.t;
+  events : event Rhodos_util.Event_bus.t;
 }
 
 let create ?(config = default_config) ~sim ~on_suspect () =
@@ -121,7 +121,7 @@ let create ?(config = default_config) ~sim ~on_suspect () =
       Sim.Cell.create ~role:Sim.Sync ~name:"lock:released" sim
         (Hashtbl.create 32);
     counters = Counter.create ();
-    events = Rhodos_obs.Event_bus.create ();
+    events = Rhodos_util.Event_bus.create ();
   }
 
 (* Read / mutate a table through its cell. [mut] mutates the record in
@@ -133,11 +133,11 @@ let mut tc f =
       f tb;
       tb)
 
-let subscribe t f = Rhodos_obs.Event_bus.subscribe t.events f
+let subscribe t f = Rhodos_util.Event_bus.subscribe t.events f
 
-let unsubscribe t tok = Rhodos_obs.Event_bus.unsubscribe t.events tok
+let unsubscribe t tok = Rhodos_util.Event_bus.unsubscribe t.events tok
 
-let emit t ev = Rhodos_obs.Event_bus.publish t.events ev
+let emit t ev = Rhodos_util.Event_bus.publish t.events ev
 
 let table_of t = function
   | Record_item _ -> t.record_table
@@ -268,9 +268,9 @@ let rec arm_lease t table g =
 and suspect t g =
   (* The holder is suspected deadlocked; the callback aborts the
      transaction, which releases its locks and wakes the queue. Run it
-     in its own process: it may block (logging the abort). The tracer
-     sees the event first, while the waiters that triggered the break
-     are still queued — a deadlock detector can classify the suspicion
+     in its own process: it may block (logging the abort). Every
+     subscriber sees the event first, while the waiters that triggered
+     the break are still queued — a deadlock detector can classify the suspicion
      as true deadlock vs false abort from the waits-for graph. *)
   emit t (Ev_suspected { txn = g.g_txn });
   ignore

@@ -156,13 +156,14 @@ type event =
           the waits-for graph still shows the contention that caused
           the break *)
 
-val subscribe : t -> (event -> unit) -> Rhodos_obs.Event_bus.token
-(** Attach an event subscriber (any number may coexist — a deadlock
-    detector and a tracer no longer evict each other). Callbacks run
+val subscribe : t -> (event -> unit) -> Rhodos_util.Event_bus.token
+(** Attach an event subscriber to the lock manager's event bus (any
+    number coexist — the deadlock detector and the sanitizer each hold
+    their own token). Callbacks run
     synchronously inside lock-manager operations and must not block.
     Detach with {!unsubscribe}. *)
 
-val unsubscribe : t -> Rhodos_obs.Event_bus.token -> unit
+val unsubscribe : t -> Rhodos_util.Event_bus.token -> unit
 
 val active_grants : t -> (int * item * mode) list
 (** Snapshot of every active grant as [(txn, item, mode)], across the

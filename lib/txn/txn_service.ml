@@ -62,7 +62,7 @@ type t = {
   (* (txn, when) touches per file, for the adaptive locking level *)
   usage : (int, (int * float) list ref) Hashtbl.t;
   counters : Counter.t;
-  tracer : Trace.t option;
+  tracer : Trace.t;
   mutable dead : bool;
       (* set when the hosting server crashes: lingering lease timers
          and background work must not touch the disks any more *)
@@ -131,7 +131,7 @@ let suspect_abort t id =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let build ?(config = default_config) ?tracer ~fs ~log () =
+let build ?(config = default_config) ~fs ~log () =
   let sim = Fs.sim fs in
   let holder = ref None in
   let on_suspect ~txn =
@@ -153,16 +153,16 @@ let build ?(config = default_config) ?tracer ~fs ~log () =
       next_id = 1;
       usage = Hashtbl.create 32;
       counters = Counter.create ();
-      tracer;
+      tracer = Trace.of_sim sim;
       dead = false;
     }
   in
   holder := Some t;
   t
 
-let create ?(config = default_config) ?tracer ~fs () =
+let create ?(config = default_config) ~fs () =
   let log = Txn_log.create (Fs.block_service fs 0) ~fragments:config.log_fragments in
-  build ~config ?tracer ~fs ~log ()
+  build ~config ~fs ~log ()
 
 let log_region t = (Txn_log.region t.log, Txn_log.fragments t.log)
 
@@ -574,10 +574,10 @@ type recovery_report = {
   discarded_transactions : int list;
 }
 
-let recover_service ?(config = default_config) ?tracer ~fs
+let recover_service ?(config = default_config) ~fs
     ~log_region:(region, fragments) () =
   let log = Txn_log.attach (Fs.block_service fs 0) ~region ~fragments in
-  let t = build ~config ?tracer ~fs ~log () in
+  let t = build ~config ~fs ~log () in
   let records = Txn_log.scan log in
   let committed = Hashtbl.create 8 and done_ = Hashtbl.create 8 in
   let aborted = Hashtbl.create 8 and seen = Hashtbl.create 8 in

@@ -56,13 +56,13 @@ val default_config : config
 
 val create :
   ?config:config ->
-  ?tracer:Rhodos_obs.Trace.t ->
   fs:Rhodos_file.File_service.t ->
   unit ->
   t
-(** The intentions-list region is allocated on disk 0 of [fs].
-    [tracer] wraps the transaction operations in ["txn_service"]
-    spans; free when no subscriber is attached. *)
+(** The intentions-list region is allocated on disk 0 of [fs]. The
+    transaction operations run in ["txn_service"] spans on the world's
+    tracer ([Rhodos_obs.Trace.of_sim]); free when no subscriber is
+    attached. *)
 
 val log_region : t -> int * int
 (** (first fragment, fragment count) of the intentions list on disk 0
@@ -134,7 +134,6 @@ type recovery_report = {
 
 val recover_service :
   ?config:config ->
-  ?tracer:Rhodos_obs.Trace.t ->
   fs:Rhodos_file.File_service.t ->
   log_region:int * int ->
   unit ->

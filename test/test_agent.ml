@@ -15,12 +15,7 @@ module Da = Rhodos_agent.Device_agent
 module Ta = Rhodos_agent.Transaction_agent
 module Env = Rhodos_agent.Process_env
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
+open Support
 
 (* Local connections straight into a file service + naming tree. *)
 let make_world sim =
@@ -88,14 +83,7 @@ let make_world sim =
   in
   (fs, ns, fs_conn, txn_conn)
 
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  while !result = None && Sim.step sim do
-    ()
-  done;
-  match !result with Some r -> r | None -> Alcotest.fail "simulation stalled"
+let run_in_sim = run_until_done
 
 let with_agent ?config f =
   run_in_sim (fun sim ->

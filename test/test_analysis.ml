@@ -22,6 +22,7 @@ module Finding = Rhodos_static.Finding
 module Vclock = Rhodos_analysis.Vclock
 module Sanitizer = Rhodos_analysis.Sanitizer
 module Cache = Rhodos_cache.Buffer_cache
+module Event_bus = Rhodos_util.Event_bus
 
 (* ------------------------------------------------------------------ *)
 (* items_conflict: unit edge cases                                     *)
@@ -712,11 +713,12 @@ let test_vclock_basics () =
 (* Workers touching one shared cell under per-worker lock lists: the
    candidate lockset narrows by intersection, and chained common locks
    provide the happens-before edges that keep the narrowing benign. *)
-let run_lock_workers specs =
+let run_lock_workers ?(sanitize = true) ?(reader = ignore) specs =
   let sim = Sim.create () in
-  let sz = Sanitizer.create sim in
+  let sz = if sanitize then Some (Sanitizer.create sim) else None in
+  reader (Sim.monitor sim);
   let lm = Lm.create ~sim ~on_suspect:(fun ~txn:_ -> ()) () in
-  Sanitizer.attach_lock_manager sz lm;
+  Option.iter (fun sz -> Sanitizer.attach_lock_manager sz lm) sz;
   let cell = Sim.Cell.create ~name:"narrow:shared" sim 0 in
   List.iteri
     (fun i (txn, items) ->
@@ -730,16 +732,49 @@ let run_lock_workers specs =
              Lm.release_all lm ~txn)))
     specs;
   Sim.run sim;
-  sz_kinds sz
+  (Sim.run_digest sim, sz)
+
+let race_kinds specs = sz_kinds (Option.get (snd (run_lock_workers specs)))
+
+let racing_workers =
+  let a = Lm.File_item 1 and b = Lm.File_item 2 and c = Lm.File_item 3 in
+  [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]); (4, [ a ]) ]
 
 let test_lockset_narrowing () =
   let a = Lm.File_item 1 and b = Lm.File_item 2 and c = Lm.File_item 3 in
   check (list string) "chained common locks: candidate narrows but stays clean"
     []
-    (run_lock_workers [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]) ]);
+    (race_kinds [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]) ]);
   check (list string) "a worker sharing no lock with the chain races"
     [ "data-race"; "lockset" ]
-    (run_lock_workers [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]); (4, [ a ]) ])
+    (race_kinds racing_workers)
+
+(* Several readers on one world: beside the sanitizer, a second reader
+   on the monitor bus counts events and leaves after [limit] of them. *)
+let test_several_readers () =
+  let counted limit =
+    let seen = ref 0 and tok = ref None in
+    let reader mon =
+      tok :=
+        Some
+          (Event_bus.subscribe mon (fun _ ->
+               incr seen;
+               if !seen = limit then Option.iter (Event_bus.unsubscribe mon) !tok))
+    in
+    let digest, sz = run_lock_workers ~reader racing_workers in
+    (digest, Option.get sz, !seen)
+  in
+  let digest, sz, seen = counted max_int in
+  check bool "events flowed" true (seen > 0);
+  check int "both readers saw every event" (Sanitizer.events_seen sz) seen;
+  check int "digest of an unmonitored run"
+    (fst (run_lock_workers ~sanitize:false racing_workers))
+    digest;
+  let _, sz', seen' = counted (seen / 2) in
+  check int "second reader left halfway" (seen / 2) seen';
+  check (list string) "the race is reported" [ "data-race"; "lockset" ] (sz_kinds sz);
+  check bool "reports unchanged by the other reader leaving" true
+    (Sanitizer.violations sz = Sanitizer.violations sz')
 
 (* A small fully synchronized workload: three workers update a cell
    under a semaphore, report through a mailbox, one fills an ivar; a
@@ -883,32 +918,13 @@ let test_sanitizer_use_after_evict () =
   (* Same shape as the cache's own monitor test, but routed through
      [Sanitizer.attach_cache]: the stale batch entry must surface as a
      ["use-after-evict"] violation. *)
-  let sim = Sim.create () in
-  let sz = Sanitizer.create sim in
-  let writeback_batch entries =
-    List.iter
-      (fun (_, _, written) ->
-        Sim.sleep sim 1.0;
-        written ())
-      entries
-  in
-  let c =
-    Cache.create ~writeback_batch ~sim ~capacity:8
-      ~policy:(Cache.Delayed_write { flush_interval_ms = 0. })
-      ~writeback:(fun _ _ -> ())
-      ()
-  in
-  Sanitizer.attach_cache sz ~name:"t" ~key_to_string:string_of_int c;
-  ignore
-    (Sim.spawn ~name:"flusher" sim (fun () ->
-         Cache.write c 0 (Bytes.make 4 'a');
-         Cache.write c 1 (Bytes.make 4 'b');
-         Cache.flush c));
-  ignore
-    (Sim.spawn_at ~name:"invalidator" sim ~at:1.5 (fun () ->
-         Cache.invalidate c 1));
-  Sim.run sim;
-  check (list string) "stale entry reported" [ "use-after-evict" ] (sz_kinds sz)
+  let sz = ref None in
+  Support.stale_batch_run (fun sim c ->
+      let s = Sanitizer.create sim in
+      Sanitizer.attach_cache s ~name:"t" ~key_to_string:string_of_int c;
+      sz := Some s);
+  check (list string) "stale entry reported" [ "use-after-evict" ]
+    (sz_kinds (Option.get !sz))
 
 (* ------------------------------------------------------------------ *)
 
@@ -993,5 +1009,6 @@ let () =
           test_case "ivar double fill" `Quick test_sanitizer_ivar_double_fill;
           test_case "use-after-evict via attach_cache" `Quick
             test_sanitizer_use_after_evict;
+          test_case "several readers on one world" `Quick test_several_readers;
         ] );
     ]

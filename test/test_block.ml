@@ -2,12 +2,7 @@ module Sim = Rhodos_sim.Sim
 module Disk = Rhodos_disk.Disk
 module Block = Rhodos_block.Block_service
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
+open Support
 
 (* A 4 MiB disk keeps tests fast: 2048 fragments, 1 bitmap fragment. *)
 let make_service ?(capacity = mib 4) ?(with_stable = true) ?config sim =
@@ -19,13 +14,6 @@ let make_service ?(capacity = mib 4) ?(with_stable = true) ?config sim =
     else None
   in
   (Block.create ?config ~disk ?stable (), disk)
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "process did not finish"
 
 let with_service ?capacity ?with_stable ?config f =
   run_in_sim (fun sim ->

@@ -1,17 +1,7 @@
 module Sim = Rhodos_sim.Sim
 module Cache = Rhodos_cache.Buffer_cache
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "process did not finish"
+open Support
 
 (* A cache over a recording "store" so write-back behaviour is
    observable. *)
@@ -327,30 +317,11 @@ let test_use_after_evict_monitor () =
   (* A batch entry whose buffer was invalidated before its thunk ran
      is about to persist a stale snapshot: the protocol monitor must
      say so. *)
-  let sim = Sim.create () in
   let events = ref [] in
-  let writeback_batch entries =
-    List.iter
-      (fun (_, _, written) ->
-        Sim.sleep sim 1.0;
-        written ())
-      entries
-  in
-  let c =
-    Cache.create ~writeback_batch ~sim ~capacity:8
-      ~policy:(Cache.Delayed_write { flush_interval_ms = 0. })
-      ~writeback:(fun _ _ -> ())
-      ()
-  in
-  Cache.set_monitor c
-    (Some (fun (Cache.Use_after_evict k) -> events := k :: !events));
-  ignore
-    (Sim.spawn ~name:"flusher" sim (fun () ->
-         Cache.write c 0 (data 0);
-         Cache.write c 1 (data 1);
-         Cache.flush c));
-  ignore (Sim.spawn_at ~name:"invalidator" sim ~at:1.5 (fun () -> Cache.invalidate c 1));
-  Sim.run sim;
+  stale_batch_run (fun _ c ->
+      ignore
+        (Rhodos_util.Event_bus.subscribe (Cache.events c)
+           (fun (Cache.Use_after_evict k) -> events := k :: !events)));
   check (Alcotest.list int) "monitor saw the stale entry" [ 1 ] !events
 
 let delayed_write_coalesces_prop =

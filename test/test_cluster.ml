@@ -11,10 +11,7 @@ module Process_env = Rhodos_agent.Process_env
 module Txn = Rhodos_txn.Txn_service
 module Fs = Rhodos_file.File_service
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 let test_end_to_end_file_io () =
   Cluster.run (fun _sim t ->

@@ -1,9 +1,6 @@
 module Sim = Rhodos_sim.Sim
 module Disk = Rhodos_disk.Disk
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 (* Run [f] inside a fresh simulation with one disk and return its result. *)
 let with_disk ?scheduler ?(geometry = Disk.default_geometry) f =

@@ -4,12 +4,7 @@ module Block = Rhodos_block.Block_service
 module Fit = Rhodos_file.Fit
 module Fs = Rhodos_file.File_service
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* Fit codec                                                           *)
@@ -120,38 +115,6 @@ let fit_codec_prop =
 (* ------------------------------------------------------------------ *)
 (* File service setup                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let make_fs ?(ndisks = 1) ?(capacity = mib 8) ?config ?block_config
-    ?(with_stable = false) sim =
-  let disks =
-    Array.init ndisks (fun i ->
-        let disk =
-          Disk.create ~name:(Printf.sprintf "d%d" i) sim
-            (Disk.geometry_with_capacity capacity)
-        in
-        let stable =
-          if with_stable then
-            let g = Disk.geometry_with_capacity (capacity * 2) in
-            Some
-              ( Disk.create ~name:(Printf.sprintf "st%da" i) sim g,
-                Disk.create ~name:(Printf.sprintf "st%db" i) sim g )
-          else None
-        in
-        let bs =
-          Block.create ~name:(Printf.sprintf "bs%d" i) ?config:block_config ~disk
-            ?stable ()
-        in
-        Block.format bs;
-        bs)
-  in
-  Fs.create ?config ~disks ()
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "process did not finish"
 
 let with_fs ?ndisks ?capacity ?config ?block_config ?with_stable f =
   run_in_sim (fun sim ->

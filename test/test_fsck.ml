@@ -11,34 +11,9 @@ module Txn = Rhodos_txn.Txn_service
 module Cluster = Rhodos.Cluster
 module Ta = Rhodos_agent.Transaction_agent
 module Fa = Rhodos_agent.File_agent
+open Support
 
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  while !result = None && Sim.step sim do
-    ()
-  done;
-  match !result with Some r -> r | None -> Alcotest.fail "simulation stalled"
-
-let make_fs ?(ndisks = 1) sim =
-  let disks =
-    Array.init ndisks (fun i ->
-        let disk =
-          Disk.create ~name:(Printf.sprintf "d%d" i) sim
-            (Disk.geometry_with_capacity (mib 8))
-        in
-        let bs = Block.create ~disk () in
-        Block.format bs;
-        bs)
-  in
-  Fs.create ~disks ()
+let run_in_sim = run_until_done
 
 let fsck_str r = Format.asprintf "%a" Fsck.pp_report r
 

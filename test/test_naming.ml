@@ -1,9 +1,6 @@
 module Ns = Rhodos_naming.Name_service
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 let sysname ?(service = "fs0") id : Ns.system_name = { service; id }
 

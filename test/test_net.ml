@@ -1,9 +1,6 @@
 module Sim = Rhodos_sim.Sim
 module Net = Rhodos_net.Net
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 let run_net ?seed ?latency_ms ?bandwidth_bytes_per_ms f =
   let sim = Sim.create () in

@@ -6,11 +6,9 @@ module Event_bus = Rhodos_obs.Event_bus
 module Cluster = Rhodos.Cluster
 module Fa = Rhodos_agent.File_agent
 module Fs = Rhodos_file.File_service
-
-let check = Alcotest.check
-let int = Alcotest.int
-let bool = Alcotest.bool
-let string = Alcotest.string
+module Disk = Rhodos_disk.Disk
+module Block = Rhodos_block.Block_service
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* Event bus                                                           *)
@@ -38,16 +36,9 @@ let test_bus_multi_subscriber () =
 (* Tracer basics                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn ~name:"test" sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  Option.get !result
-
 let test_zero_subscriber_fast_path () =
-  in_sim (fun sim ->
-      let tracer = Trace.create sim in
+  run_in_sim (fun sim ->
+      let tracer = Trace.of_sim sim in
       check bool "disabled with no subscriber" false (Trace.enabled tracer);
       (* with_span must run the body and record nothing. *)
       let r = Trace.with_span tracer ~service:"s" ~op:"o" (fun () -> 41 + 1) in
@@ -59,8 +50,8 @@ let test_zero_subscriber_fast_path () =
       check int "nothing was recorded" 0 (List.length (Trace.spans c)))
 
 let test_span_nesting () =
-  in_sim (fun sim ->
-      let tracer = Trace.create sim in
+  run_in_sim (fun sim ->
+      let tracer = Trace.of_sim sim in
       let c = Trace.collect tracer in
       Trace.with_span tracer ~service:"outer" ~op:"a" (fun () ->
           Sim.sleep sim 5.;
@@ -80,8 +71,8 @@ let test_span_nesting () =
       check (Alcotest.float 1e-9) "inner starts at 5ms" 5. inner.Trace.start_ms)
 
 let test_context_propagates_through_spawn () =
-  in_sim (fun sim ->
-      let tracer = Trace.create sim in
+  run_in_sim (fun sim ->
+      let tracer = Trace.of_sim sim in
       let c = Trace.collect tracer in
       Trace.with_span tracer ~service:"parent" ~op:"fanout" (fun () ->
           let done_ = ref 0 in
@@ -206,8 +197,8 @@ let test_chrome_json_shape () =
     (has "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"client\"}}")
 
 let test_span_tree_render () =
-  in_sim (fun sim ->
-      let tracer = Trace.create sim in
+  run_in_sim (fun sim ->
+      let tracer = Trace.of_sim sim in
       let c = Trace.collect tracer in
       Trace.with_span tracer ~service:"a" ~op:"x" (fun () ->
           Sim.sleep sim 2.;
@@ -492,6 +483,57 @@ let test_metrics_reset () =
   check bool "source still read" true
     (List.exists (fun s -> s.Metrics.name = "ext.v") (Metrics.snapshot m))
 
+(* Every disk of a world is traced, however it was built: a file
+   service over a block service with stable mirrors, assembled by
+   hand. The FIT update's stable-storage writes must show up as disk
+   spans under the block service, not as block-service self time. *)
+let test_every_disk_traced () =
+  let sim = Sim.create () in
+  let disk name mib = Disk.create ~name sim (Disk.geometry_with_capacity (mib lsl 20)) in
+  let stable = (disk "mirror-a" 2, disk "mirror-b" 2) in
+  let bs = Block.create ~disk:(disk "data" 1) ~stable () in
+  let tracer = Trace.of_sim sim and spans = ref [] in
+  let traced f =
+    let c = Trace.collect tracer in
+    let r = f () in
+    Trace.stop tracer c;
+    spans := !spans @ Trace.spans c;
+    r
+  in
+  ignore
+    (Sim.spawn sim (fun () ->
+         Block.format bs;
+         let fs = Fs.create ~disks:[| bs |] () in
+         let f = Fs.create_file fs and data = Bytes.make 4096 'x' in
+         traced (fun () -> Fs.pwrite fs f ~off:0 data);
+         Fs.drop_caches fs;
+         let got = traced (fun () -> Fs.pread fs f ~off:0 ~len:4096) in
+         check bool "read back intact" true (Bytes.equal got data)));
+  Sim.run sim;
+  let rec chain s =
+    s.Trace.service
+    :: (match s.Trace.parent with
+       | None -> []
+       | Some p -> chain (List.find (fun s -> s.Trace.id = p) !spans))
+  in
+  let roots = List.filter (fun s -> s.Trace.parent = None) !spans in
+  check (Alcotest.list string) "roots are the two file-service calls"
+    [ "file_service.pwrite"; "file_service.pread" ]
+    (List.map (fun s -> s.Trace.service ^ "." ^ s.Trace.op) roots);
+  let disks = List.filter (fun s -> s.Trace.service = "disk") !spans in
+  List.iter
+    (fun d ->
+      match chain d with
+      | "disk" :: "block_service" :: (_ :: _ as up)
+        when List.for_all (( = ) "file_service") up -> ()
+      | c -> Alcotest.failf "disk span chain %s" (String.concat " <- " c))
+    disks;
+  List.iter
+    (fun name ->
+      check bool (name ^ " traced") true
+        (List.exists (fun d -> List.mem ("disk", Trace.Str name) d.Trace.attrs) disks))
+    [ "data"; "mirror-a"; "mirror-b" ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -515,6 +557,7 @@ let () =
           Alcotest.test_case "cluster causal tree" `Quick test_cluster_causal_tree;
           Alcotest.test_case "digest unperturbed" `Quick
             test_tracing_does_not_perturb_digest;
+          Alcotest.test_case "every disk traced" `Quick test_every_disk_traced;
         ] );
       ( "export",
         [

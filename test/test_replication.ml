@@ -4,19 +4,7 @@ module Block = Rhodos_block.Block_service
 module Fs = Rhodos_file.File_service
 module Rep = Rhodos_replication.Replication
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "simulation stalled"
+open Support
 
 let make_fs sim i =
   let disk =

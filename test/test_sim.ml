@@ -1,8 +1,6 @@
 module Sim = Rhodos_sim.Sim
+open Support
 
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
 let fl = Alcotest.float 1e-9
 
 let test_clock_starts_at_zero () =

@@ -1,10 +1,7 @@
 module Sim = Rhodos_sim.Sim
 module Disk = Rhodos_disk.Disk
 module Stable = Rhodos_stable.Stable_store
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 let page_bytes = 2048 (* one fragment, as the paper stores metadata *)
 

@@ -11,10 +11,7 @@ module Mayblock = Rhodos_static.Mayblock
 module Lockpass = Rhodos_static.Lockpass
 module Finding = Rhodos_static.Finding
 module Static = Rhodos_static.Static
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
+open Support
 
 let build srcs =
   Callgraph.build

@@ -16,9 +16,7 @@ module Fa = Rhodos_agent.File_agent
 module Ta = Rhodos_agent.Transaction_agent
 module Fsck = Rhodos_file.Fsck
 module Rng = Rhodos_util.Rng
-
-let check = Alcotest.check
-let bool = Alcotest.bool
+open Support
 
 type model_file = {
   path : string;

@@ -7,40 +7,7 @@ module Lm = Rhodos_txn.Lock_manager
 module Txn = Rhodos_txn.Txn_service
 module Log = Rhodos_txn.Txn_log
 module Counter = Rhodos_util.Stats.Counter
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let mib n = n * 1024 * 1024
-
-let make_fs ?(ndisks = 1) ?(with_stable = false) sim =
-  let disks =
-    Array.init ndisks (fun i ->
-        let disk =
-          Disk.create ~name:(Printf.sprintf "d%d" i) sim
-            (Disk.geometry_with_capacity (mib 8))
-        in
-        let stable =
-          if with_stable then
-            let g = Disk.geometry_with_capacity (mib 16) in
-            Some
-              ( Disk.create ~name:(Printf.sprintf "s%da" i) sim g,
-                Disk.create ~name:(Printf.sprintf "s%db" i) sim g )
-          else None
-        in
-        let bs = Block.create ~disk ?stable () in
-        Block.format bs;
-        bs)
-  in
-  Fs.create ~disks ()
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "simulation stalled"
+open Support
 
 let with_txn ?config ?ndisks ?with_stable f =
   run_in_sim (fun sim ->

@@ -1,8 +1,5 @@
 open Rhodos_util
-
-let check = Alcotest.check
-let int = Alcotest.int
-let bool = Alcotest.bool
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* Prio_queue                                                          *)

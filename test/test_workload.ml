@@ -6,17 +6,7 @@ module Block = Rhodos_block.Block_service
 module Net = Rhodos_net.Net
 module Bullet = Rhodos_baseline.Bullet_server
 module Ffa = Rhodos_baseline.First_fit_allocator
-
-let check = Alcotest.check
-let bool = Alcotest.bool
-let int = Alcotest.int
-
-let run_in_sim f =
-  let sim = Sim.create () in
-  let result = ref None in
-  let _ = Sim.spawn sim (fun () -> result := Some (f sim)) in
-  Sim.run sim;
-  match !result with Some r -> r | None -> Alcotest.fail "simulation stalled"
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* Workload generators                                                 *)
